@@ -17,9 +17,7 @@ from .forces import (
     MorseInteraction,
     QuadraticPotential,
     SingularDensityError,
-    external_accel,
     f_theta,
-    morse_force,
 )
 from .initial import (
     Box,
@@ -44,7 +42,6 @@ from .sph import (
     ParticleState,
     SupportDiagnostic,
     angular_momentum,
-    build_neighbor_lists,
     check_support,
     compute_accelerations,
     compute_density,

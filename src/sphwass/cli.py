@@ -25,6 +25,7 @@ from . import __version__
 from .config import ConfigError, load_config, plan_from_config
 from .experiments import (
     StudyDivergedError,
+    _fmt,
     density_profile,
     emit_report,
     run_convergence_study,
@@ -41,10 +42,6 @@ __all__ = ["main", "run_verification_checks"]
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
-
-
-def _fmt(x):
-    return f"{x:.17g}"
 
 
 # ---------------------------------------------------------------------------

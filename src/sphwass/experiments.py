@@ -31,6 +31,7 @@ from .initial import equipartition, preset, sample_iid, select_h
 from .integrator import IntegratorConfig, SimulationDivergedError, run
 from .kernels import Gaussian1D, WendlandCubic2D
 from .sph import SupportDiagnostic, check_support, compute_density, support_bound
+from .sph import _density_at
 from .transport import (
     DiscreteMeasure,
     convergence_rates,
@@ -263,14 +264,7 @@ def density_profile(state, kernel, grid):
     pts = grid[:, None] if grid.ndim == 1 else grid
     if pts.shape[1] != state.dim:
         raise ValueError("grid dimension does not match the state")
-    values = np.empty(pts.shape[0])
-    block = 2048
-    x = state.positions
-    for s in range(0, pts.shape[0], block):
-        diff = pts[s : s + block, None, :] - x[None, :, :]
-        r2 = np.einsum("gjd,gjd->gj", diff, diff)
-        values[s : s + block] = kernel.value_from_sq(r2) @ state.masses
-    return DensityProfile(grid=grid, values=values)
+    return DensityProfile(grid=grid, values=_density_at(pts, state, kernel))
 
 
 def _fmt(x):

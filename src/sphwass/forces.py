@@ -26,8 +26,6 @@ __all__ = [
     "ForceModel",
     "SingularDensityError",
     "f_theta",
-    "morse_force",
-    "external_accel",
 ]
 
 
@@ -131,11 +129,6 @@ class MorseInteraction:
         return float(np.abs(self.u_prime(r) * taper).max())
 
 
-def morse_force(interaction, x):
-    """Module-level alias for :meth:`MorseInteraction.force`."""
-    return interaction.force(x)
-
-
 @dataclass(frozen=True)
 class QuadraticPotential:
     """External potential V(y) = 0.5 * k * |y - center|^2."""
@@ -200,13 +193,3 @@ class ForceModel:
             return np.zeros_like(np.asarray(y, dtype=float))
         return np.asarray(self.v_ext.gradient(y), dtype=float)
 
-
-def external_accel(fm, y, u):
-    """Acceleration from the external potential and drag: -grad V(y) - eta(y) u.
-
-    The pairwise interaction is handled by the summation core, not here.
-    """
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    a = -fm.grad_v(y) - fm.eta_at(y)[:, None] * u
-    return a

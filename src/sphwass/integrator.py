@@ -80,28 +80,41 @@ class Trajectory:
         return len(self.times)
 
 
-def _nodrag_accel(state, fm, kernel, method):
-    density = compute_density(state, kernel, method=method)
-    acc = compute_accelerations(
-        state, density, fm, kernel, method=method, include_drag=False
-    )
-    return acc, density
+def _nodrag_accel(state, fm, kernel):
+    # only a pressure law reads the density
+    density = compute_density(state, kernel) if fm.eos is not None else None
+    return compute_accelerations(state, density, fm, kernel, include_drag=False)
 
 
-def step(state, fm, kernel, dt, method="auto"):
+def _kick_drift_kick(m, x, v, a, fm, kernel, dt, k):
+    """Step ``k`` from (x, v), given the drag-free acceleration ``a`` at x.
+
+    Returns the new positions and velocities and the acceleration at the
+    new positions, which the next step starts from.
+    """
+    eta0 = fm.eta_at(x)[:, None]
+    v = v * (1.0 - 0.5 * dt * eta0) + 0.5 * dt * a
+    x = x + dt * v
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+        raise SimulationDivergedError(k)
+    a = _nodrag_accel(ParticleState(m, x, v), fm, kernel)
+    eta1 = fm.eta_at(x)[:, None]
+    v = (v + 0.5 * dt * a) / (1.0 + 0.5 * dt * eta1)
+    if not np.all(np.isfinite(v)):
+        raise SimulationDivergedError(k)
+    return x, v, a
+
+
+def step(state, fm, kernel, dt):
     """One kick-drift-kick step; returns a new state at time t + dt."""
-    a0, _ = _nodrag_accel(state, fm, kernel, method)
-    eta0 = fm.eta_at(state.positions)[:, None]
-    v_half = state.velocities * (1.0 - 0.5 * dt * eta0) + 0.5 * dt * a0
-    x_new = state.positions + dt * v_half
-    moved = ParticleState(state.masses, x_new, v_half, state.time)
-    a1, _ = _nodrag_accel(moved, fm, kernel, method)
-    eta1 = fm.eta_at(x_new)[:, None]
-    v_new = (v_half + 0.5 * dt * a1) / (1.0 + 0.5 * dt * eta1)
-    return ParticleState(state.masses, x_new, v_new, state.time + dt)
+    a = _nodrag_accel(state, fm, kernel)
+    x, v, _ = _kick_drift_kick(
+        state.masses, state.positions, state.velocities, a, fm, kernel, dt, 1
+    )
+    return ParticleState(state.masses, x, v, state.time + dt)
 
 
-def run(state0, fm, kernel, cfg, method="auto"):
+def run(state0, fm, kernel, cfg):
     """Integrate from ``state0`` and collect snapshots at the configured times.
 
     Raises :class:`SimulationDivergedError` (naming the step) if the state
@@ -116,25 +129,11 @@ def run(state0, fm, kernel, cfg, method="auto"):
     v = state0.velocities.copy()
     t0 = state0.time
 
-    def record(k, xs, vs):
-        times.append(t0 + k * cfg.dt)
-        states.append(ParticleState(m, xs.copy(), vs.copy(), t0 + k * cfg.dt))
-
-    a, _ = _nodrag_accel(state0, fm, kernel, method)
-    if 0 in want:
-        record(0, x, v)
-    for k in range(1, n_steps + 1):
-        eta0 = fm.eta_at(x)[:, None]
-        v = v * (1.0 - 0.5 * cfg.dt * eta0) + 0.5 * cfg.dt * a
-        x = x + cfg.dt * v
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-            raise SimulationDivergedError(k)
-        probe = ParticleState(m, x, v, t0 + k * cfg.dt)
-        a, _ = _nodrag_accel(probe, fm, kernel, method)
-        eta1 = fm.eta_at(x)[:, None]
-        v = (v + 0.5 * cfg.dt * a) / (1.0 + 0.5 * cfg.dt * eta1)
-        if not np.all(np.isfinite(v)):
-            raise SimulationDivergedError(k)
+    a = _nodrag_accel(state0, fm, kernel)
+    for k in range(n_steps + 1):
+        if k > 0:
+            x, v, a = _kick_drift_kick(m, x, v, a, fm, kernel, cfg.dt, k)
         if k in want:
-            record(k, x, v)
+            times.append(t0 + k * cfg.dt)
+            states.append(ParticleState(m, x, v, t0 + k * cfg.dt))
     return Trajectory(times=times, states=states)

@@ -1,5 +1,5 @@
 """Summation density, the theta-parameterized particle accelerations,
-neighbor search, and conservation/support diagnostics.
+the pair engine they share, and conservation/support diagnostics.
 
 The acceleration of particle k is
 
@@ -10,11 +10,16 @@ with the regularized density rho_k = sum_j m_j W_h(x_k - x_j) (the j = k
 self-term included).  The i = k pressure term vanishes because
 grad W_h(0) = 0, and the i = k interaction term because K(0) = 0.
 
-Pairwise sums are evaluated in fixed index order over row blocks, so a
-given state always produces bitwise-identical results.  All functions
-here are pure; :class:`ParticleState` snapshots are never mutated.
+Both pair sums run on one engine, :func:`_pair_blocks`, which yields
+squared distances block by block: dense row blocks against every
+particle, or, when :func:`_use_cells` finds the kernel's support small
+against the cloud, each grid cell against its 3^d neighbor cells.  Blocks
+come in a fixed order, so a given state always produces bitwise-identical
+results.  All functions here are pure; :class:`ParticleState` snapshots
+are never mutated.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -28,7 +33,6 @@ __all__ = [
     "SupportDiagnostic",
     "compute_density",
     "compute_accelerations",
-    "build_neighbor_lists",
     "momentum",
     "angular_momentum",
     "support_bound",
@@ -90,10 +94,9 @@ class ParticleState:
 
 @dataclass
 class DensityField:
-    """Per-particle regularized density, with an optional gradient cache."""
+    """Per-particle regularized density."""
 
     rho: np.ndarray
-    grad_rho: np.ndarray | None = None
 
 
 def _pairwise_sq_dists(x_block, x_all, sq_block, sq_all):
@@ -110,29 +113,27 @@ def compute_density(state, kernel, method="auto"):
     """Summation density rho_i = sum_j m_j W_h(x_i - x_j), self-term included."""
     if state.dim != kernel.dim:
         raise ValueError(f"state dimension {state.dim} != kernel dimension {kernel.dim}")
+    return DensityField(rho=_density_at(state.positions, state, kernel, method))
+
+
+def _density_at(y, state, kernel, method="auto"):
+    """Regularized density sum_j m_j W_h(y_k - x_j) of ``state`` at points y."""
     x, m = state.positions, state.masses
-    if _use_cells(method, kernel, x, interaction=None):
-        rho = _density_cells(x, m, kernel)
-    else:
-        rho = _density_all_pairs(x, m, kernel)
-    return DensityField(rho=rho)
-
-
-def _density_all_pairs(x, m, kernel):
-    n = x.shape[0]
-    sq = np.einsum("id,id->i", x, x)
-    rho = np.empty(n)
-    for s in range(0, n, _BLOCK):
-        e = min(s + _BLOCK, n)
-        r2 = _pairwise_sq_dists(x[s:e], x, sq[s:e], sq)
-        rho[s:e] = kernel.value_from_sq(r2) @ m
+    cutoff = kernel.support_radius if _use_cells(method, kernel, x, None) else None
+    rho = np.zeros(y.shape[0])
+    for rows, cols, r2 in _pair_blocks(y, x, cutoff):
+        w = kernel.value_from_sq(r2)
+        if cutoff is not None:
+            w[r2 > cutoff * cutoff] = 0.0
+        rho[rows] = w @ m[cols]
     return rho
 
 
 def compute_accelerations(state, density, fm, kernel, method="auto", include_drag=True):
     """Per-particle accelerations of the theta-parameterized scheme.
 
-    ``density`` must come from :func:`compute_density` on the same state.
+    ``density`` must come from :func:`compute_density` on the same state;
+    it is not read (and may be None) when ``fm.eos`` is None.
     ``include_drag=False`` omits the -eta(x) v term (the integrator folds
     drag into its half-kicks instead).  Returns an (n, d) array.
     """
@@ -143,10 +144,7 @@ def compute_accelerations(state, density, fm, kernel, method="auto", include_dra
     else:
         F = None
 
-    if _use_cells(method, kernel, x, fm.interaction):
-        acc = _pressure_accel_cells(x, m, F, fm.theta, kernel)
-    else:
-        acc = _pressure_accel_all_pairs(x, m, F, fm.theta, kernel, fm.interaction)
+    acc = _pair_accel(x, m, F, fm.theta, kernel, fm.interaction, method)
 
     acc -= fm.grad_v(x)
     if include_drag:
@@ -154,26 +152,26 @@ def compute_accelerations(state, density, fm, kernel, method="auto", include_dra
     return acc
 
 
-def _pressure_accel_all_pairs(x, m, F, theta, kernel, interaction):
-    """Chunked all-pairs pressure + interaction sums.
+def _pair_accel(x, m, F, theta, kernel, interaction, method):
+    """Pressure and interaction pair sums.
 
-    Within a row block the pair sum  -sum_i w_ki (x_k - x_i)  is folded
-    into two matrix products: (w @ x) - x_k * rowsum(w).
+    Within a block the pair sum  -sum_i w_ki (x_k - x_i)  is folded into
+    two matrix products: (w @ x) - x_k * rowsum(w).
     """
-    n = x.shape[0]
-    sq = np.einsum("id,id->i", x, x)
+    cutoff = kernel.support_radius if _use_cells(method, kernel, x, interaction) else None
     acc = np.zeros_like(x)
-    for s in range(0, n, _BLOCK):
-        e = min(s + _BLOCK, n)
-        r2 = _pairwise_sq_dists(x[s:e], x, sq[s:e], sq)
+    for rows, cols, r2 in _pair_blocks(x, x, cutoff):
+        xr, xc, mc = x[rows], x[cols], m[cols]
         if F is not None:
             w = kernel.value_from_sq(r2)
             g = kernel.grad_scale_from_sq(r2, w)
-            pw = m[None, :] * (F[s:e, None] + theta * F[None, :]) * g
-            acc[s:e] += pw @ x - x[s:e] * pw.sum(axis=1)[:, None]
+            if cutoff is not None:
+                g[r2 > cutoff * cutoff] = 0.0
+            pw = mc[None, :] * (F[rows, None] + theta * F[cols][None, :]) * g
+            acc[rows] += pw @ xc - xr * pw.sum(axis=1)[:, None]
         if interaction is not None:
-            c = interaction.force_scale(np.sqrt(r2)) * m[None, :]
-            acc[s:e] += x[s:e] * c.sum(axis=1)[:, None] - c @ x
+            c = interaction.force_scale(np.sqrt(r2)) * mc[None, :]
+            acc[rows] += xr * c.sum(axis=1)[:, None] - c @ xc
     return acc
 
 
@@ -193,27 +191,32 @@ def angular_momentum(state):
 
 
 # ---------------------------------------------------------------------------
-# neighbor search
+# pair engine
 
 
-def build_neighbor_lists(state, cutoff):
-    """Indices j with |x_i - x_j| <= cutoff for every i (self included).
+def _pair_blocks(y, x, cutoff=None):
+    """Yield ``(rows, cols, r2)``: squared distances from the targets
+    ``y[rows]`` to the sources ``x[cols]``, each target in exactly one block.
 
-    Uses a uniform grid of cells of side ``cutoff``; candidates come from
-    the 3^d adjacent cells and are filtered by exact distance.  Intended
-    for compactly supported kernels; with unbounded kernels use all-pairs.
+    Without a cutoff the blocks are ``_BLOCK`` targets against all sources.
+    With one, targets and sources are binned into cells of side ``cutoff``
+    and each target cell meets the sources of its 3^d adjacent cells; the
+    consumer masks the pairs in those cells that lie beyond the cutoff.
     """
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
-    x = state.positions
-    cells, cell_of = _grid_cells(x, cutoff)
-    c2 = cutoff * cutoff
-    out = []
-    for i in range(state.n):
-        cand = _cell_candidates(cells, cell_of[i], x.shape[1])
-        d2 = np.einsum("jd,jd->j", x[cand] - x[i], x[cand] - x[i])
-        out.append(np.sort(cand[d2 <= c2]))
-    return out
+    sq_x = np.einsum("id,id->i", x, x)
+    sq_y = sq_x if y is x else np.einsum("id,id->i", y, y)
+    if cutoff is None:
+        for s in range(0, y.shape[0], _BLOCK):
+            rows = slice(s, s + _BLOCK)
+            yield rows, slice(None), _pairwise_sq_dists(y[rows], x, sq_y[rows], sq_x)
+        return
+    sources = _grid_cells(x, cutoff)
+    targets = sources if y is x else _grid_cells(y, cutoff)
+    offsets = list(itertools.product((-1, 0, 1), repeat=x.shape[1]))
+    none = np.empty(0, dtype=np.intp)
+    for key, rows in targets.items():
+        cols = np.concatenate([sources.get(tuple(np.add(key, o)), none) for o in offsets])
+        yield rows, cols, _pairwise_sq_dists(y[rows], x[cols], sq_y[rows], sq_x[cols])
 
 
 def _grid_cells(x, cutoff):
@@ -222,20 +225,7 @@ def _grid_cells(x, cutoff):
     cells = {}
     for i, key in enumerate(map(tuple, keys)):
         cells.setdefault(key, []).append(i)
-    cells = {k: np.asarray(v, dtype=np.intp) for k, v in cells.items()}
-    return cells, [tuple(k) for k in keys]
-
-
-def _cell_candidates(cells, key, dim):
-    offsets = np.stack(
-        np.meshgrid(*([[-1, 0, 1]] * dim), indexing="ij"), axis=-1
-    ).reshape(-1, dim)
-    found = [
-        cells[tuple(np.add(key, off))]
-        for off in offsets
-        if tuple(np.add(key, off)) in cells
-    ]
-    return np.concatenate(found) if found else np.empty(0, dtype=np.intp)
+    return {k: np.asarray(v, dtype=np.intp) for k, v in cells.items()}
 
 
 def _use_cells(method, kernel, x, interaction):
@@ -254,39 +244,6 @@ def _use_cells(method, kernel, x, interaction):
     extent = (x.max(axis=0) - x.min(axis=0)).max() if x.size else 0.0
     # cells only pay off once several cells span the cloud
     return x.shape[0] >= 256 and extent > 4.0 * kernel.support_radius
-
-
-def _density_cells(x, m, kernel):
-    cutoff = kernel.support_radius
-    cells, _ = _grid_cells(x, cutoff)
-    sq = np.einsum("id,id->i", x, x)
-    rho = np.zeros(x.shape[0])
-    for key, idx in cells.items():
-        cand = _cell_candidates(cells, key, x.shape[1])
-        r2 = _pairwise_sq_dists(x[idx], x[cand], sq[idx], sq[cand])
-        w = kernel.value_from_sq(r2)
-        w[r2 > cutoff * cutoff] = 0.0
-        rho[idx] = w @ m[cand]
-    return rho
-
-
-def _pressure_accel_cells(x, m, F, theta, kernel):
-    cutoff = kernel.support_radius
-    cells, _ = _grid_cells(x, cutoff)
-    sq = np.einsum("id,id->i", x, x)
-    acc = np.zeros_like(x)
-    if F is None:
-        return acc
-    c2 = cutoff * cutoff
-    for key, idx in cells.items():
-        cand = _cell_candidates(cells, key, x.shape[1])
-        r2 = _pairwise_sq_dists(x[idx], x[cand], sq[idx], sq[cand])
-        w = kernel.value_from_sq(r2)
-        g = kernel.grad_scale_from_sq(r2, w)
-        g[r2 > c2] = 0.0
-        pw = m[cand][None, :] * (F[idx][:, None] + theta * F[cand][None, :]) * g
-        acc[idx] = pw @ x[cand] - x[idx] * pw.sum(axis=1)[:, None]
-    return acc
 
 
 # ---------------------------------------------------------------------------

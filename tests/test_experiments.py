@@ -6,6 +6,7 @@ from sphwass import (
     Gaussian1D,
     InitialSpec,
     StudyDivergedError,
+    WendlandCubic2D,
     density_profile,
     emit_report,
     equipartition,
@@ -157,6 +158,20 @@ class TestDensityProfile:
         grid = np.linspace(-8.0, 9.0, 4001)
         prof = density_profile(state, Gaussian1D(1.0), grid)
         assert np.trapezoid(prof.values, grid) == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "dim,kernel",
+        [(1, Gaussian1D(0.3)), (2, WendlandCubic2D(0.05))],
+        ids=["gaussian-dense", "wendland-cells"],
+    )
+    def test_at_particles_equals_compute_density(self, dim, kernel, rng):
+        from sphwass import ParticleState, compute_density
+
+        n = 600
+        state = ParticleState(rng.random(n) + 0.1, rng.random((n, dim)), np.zeros((n, dim)))
+        prof = density_profile(state, kernel, state.positions.copy())
+        rho = compute_density(state, kernel).rho
+        np.testing.assert_allclose(prof.values, rho, rtol=1e-14)
 
     def test_grid_dimension_checked(self):
         state = equipartition(InitialSpec(n=4, dim=2))

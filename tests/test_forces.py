@@ -5,11 +5,12 @@ from sphwass import (
     EosPolytropic,
     ForceModel,
     MorseInteraction,
+    ParticleState,
     QuadraticPotential,
     SingularDensityError,
-    external_accel,
+    WendlandCubic2D,
+    compute_accelerations,
     f_theta,
-    morse_force,
 )
 
 PAPER_MORSE = dict(c_a=2.0, c_r=1.5, l_a=1.0, l_r=2.0)
@@ -62,7 +63,7 @@ class TestMorse:
     def test_zero_at_origin_exactly(self):
         m = MorseInteraction(**PAPER_MORSE)
         np.testing.assert_array_equal(m.force(np.zeros(2)), np.zeros(2))
-        np.testing.assert_array_equal(morse_force(m, np.zeros((5, 2))), np.zeros((5, 2)))
+        np.testing.assert_array_equal(m.force(np.zeros((5, 2))), np.zeros((5, 2)))
 
     def test_odd_by_construction(self, rng):
         m = MorseInteraction(**PAPER_MORSE)
@@ -134,6 +135,13 @@ class TestMorse:
             MorseInteraction(c_a=-1.0)
         with pytest.raises(ValueError):
             MorseInteraction(r_cut=0.0)
+
+
+def external_accel(fm, y, u):
+    """-grad V(y) - eta(y) u: the accelerations with no pair terms (no
+    pressure law, no interaction)."""
+    state = ParticleState(np.ones(len(y)), y, u)
+    return compute_accelerations(state, None, fm, WendlandCubic2D(1.0))
 
 
 class TestExternalAccel:

@@ -72,6 +72,17 @@ def test_study_matches_frozen_outputs(name):
     assert_matches_golden(name, study_outputs(name))
 
 
+def test_morse_family_never_computes_density(monkeypatch):
+    # no pressure law reads rho, so the integrator must not compute it
+    import sphwass.integrator
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("density computed for a pressureless model")
+
+    monkeypatch.setattr(sphwass.integrator, "compute_density", refuse)
+    assert_matches_golden("morse_drag", study_outputs("morse_drag"))
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     data = {name: study_outputs(name) for name in PLANS}

@@ -6,6 +6,7 @@ from sphwass import (
     ForceModel,
     Gaussian1D,
     IntegratorConfig,
+    MorseInteraction,
     ParticleState,
     QuadraticPotential,
     SimulationDivergedError,
@@ -157,6 +158,27 @@ class TestRun:
         for s1, s2 in zip(t1.states, t2.states):
             np.testing.assert_array_equal(s1.positions, s2.positions)
             np.testing.assert_array_equal(s1.velocities, s2.velocities)
+
+    @pytest.mark.parametrize(
+        "fm",
+        [
+            ForceModel(theta=0, eos=EosPolytropic(gamma=7.0)),
+            ForceModel(theta=1, eta=10.0, interaction=MorseInteraction()),
+        ],
+        ids=["theta0-gamma7", "morse-drag"],
+    )
+    def test_snapshots_equal_repeated_step_bitwise(self, fm, random_state_factory):
+        state = random_state_factory(12, 2)
+        kernel = WendlandCubic2D(1.0)
+        cfg = IntegratorConfig(dt=1e-2, t_end=0.1, snapshot_times=(0.0, 0.05, 0.1))
+        traj = run(state, fm, kernel, cfg)
+        stepped, k = state, 0
+        for t, snap in zip(traj.times, traj.states):
+            while k < round(t / cfg.dt):
+                stepped, k = step(stepped, fm, kernel, cfg.dt), k + 1
+            np.testing.assert_array_equal(snap.positions, stepped.positions)
+            np.testing.assert_array_equal(snap.velocities, stepped.velocities)
+        assert k == 10
 
     def test_divergence_raises_with_step_index(self):
         # wildly unstable dt for the harmonic trap overflows to inf

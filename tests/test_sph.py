@@ -10,7 +10,6 @@ from sphwass import (
     SupportDiagnostic,
     WendlandCubic2D,
     angular_momentum,
-    build_neighbor_lists,
     check_support,
     compute_accelerations,
     compute_density,
@@ -191,62 +190,64 @@ class TestConservedQuantities:
         assert angular_momentum(state) == 0.0
 
 
-class TestNeighborLists:
-    def test_three_collinear_particles(self):
-        state = ParticleState(
-            normalized([1.0, 1.0, 1.0]), [[0.0], [1.0], [3.0]], np.zeros((3, 1))
-        )
-        lists = build_neighbor_lists(state, cutoff=1.5)
-        assert list(lists[0]) == [0, 1]
-        assert list(lists[1]) == [0, 1]
-        assert list(lists[2]) == [2]
+class TestPairBlocks:
+    def test_cells_cover_every_pair_within_cutoff(self, rng):
+        from sphwass.sph import _pair_blocks
 
-    def test_matches_brute_force_on_random_cloud(self, rng):
-        n = 200
-        state = ParticleState(
-            normalized(np.ones(n)), rng.random((n, 2)) * 3.0, np.zeros((n, 2))
-        )
+        x = rng.random((200, 2)) * 3.0
         cutoff = 0.4
-        lists = build_neighbor_lists(state, cutoff)
-        x = state.positions
-        for i in range(n):
-            d = np.linalg.norm(x - x[i], axis=1)
-            expected = np.flatnonzero(d <= cutoff)
-            np.testing.assert_array_equal(lists[i], expected)
+        found, targets = set(), []
+        for rows, cols, r2 in _pair_blocks(x, x, cutoff):
+            rows = np.arange(len(x))[rows]
+            targets.extend(rows)
+            i, j = np.nonzero(r2 <= cutoff * cutoff)
+            found.update(zip(rows[i], cols[j]))
+        assert sorted(targets) == list(range(len(x)))
+        d = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)
+        assert found == set(zip(*np.nonzero(d <= cutoff)))
 
-    def test_cutoff_larger_than_diameter(self, rng):
-        n = 40
-        state = ParticleState(
-            normalized(np.ones(n)), rng.random((n, 2)), np.zeros((n, 2))
+    def test_dense_blocks_tile_the_pair_matrix(self, rng):
+        from sphwass.sph import _BLOCK, _pair_blocks
+
+        y, x = rng.random((_BLOCK + 7, 2)), rng.random((9, 2))
+        r2 = np.vstack([b for _, _, b in _pair_blocks(y, x)])
+        np.testing.assert_allclose(
+            r2, ((y[:, None, :] - x[None, :, :]) ** 2).sum(-1), atol=1e-15
         )
-        lists = build_neighbor_lists(state, cutoff=10.0)
-        for i in range(n):
-            assert len(lists[i]) == n
 
-    def test_invalid_cutoff(self, random_state_factory):
-        with pytest.raises(ValueError):
-            build_neighbor_lists(random_state_factory(4, 1), 0.0)
+
+def assert_cell_path_matches_all_pairs(state, kernel, fm):
+    rho_ap = compute_density(state, kernel, method="all-pairs").rho
+    rho_cl = compute_density(state, kernel, method="cell-list").rho
+    np.testing.assert_allclose(rho_cl, rho_ap, rtol=1e-13)
+
+    dens = compute_density(state, kernel, method="all-pairs")
+    a_ap = compute_accelerations(state, dens, fm, kernel, method="all-pairs")
+    a_cl = compute_accelerations(state, dens, fm, kernel, method="cell-list")
+    scale = np.abs(a_ap).max()
+    assert np.abs(a_cl - a_ap).max() <= 1e-13 * scale
 
 
 class TestCellListEquivalence:
-    def test_density_and_accel_paths_agree(self, rng):
+    @pytest.mark.parametrize("theta", [0, 1])
+    def test_density_and_accel_paths_agree(self, theta, rng):
         # scaled-h regime: support covers a few cells only
         n = 512
         masses = normalized(np.ones(n))
         positions = rng.random((n, 2))
         state = ParticleState(masses, positions, np.zeros((n, 2)))
-        kernel = WendlandCubic2D(0.05)
-        fm = hydro_model(7.0, 1)
+        assert_cell_path_matches_all_pairs(
+            state, WendlandCubic2D(0.05), hydro_model(7.0, theta)
+        )
 
-        rho_ap = compute_density(state, kernel, method="all-pairs").rho
-        rho_cl = compute_density(state, kernel, method="cell-list").rho
-        np.testing.assert_allclose(rho_cl, rho_ap, rtol=1e-13)
-
-        dens = compute_density(state, kernel, method="all-pairs")
-        a_ap = compute_accelerations(state, dens, fm, kernel, method="all-pairs")
-        a_cl = compute_accelerations(state, dens, fm, kernel, method="cell-list")
-        scale = np.abs(a_ap).max()
-        assert np.abs(a_cl - a_ap).max() <= 1e-13 * scale
+    @pytest.mark.parametrize("theta", [0, 1])
+    def test_truncated_gaussian_1d_paths_agree(self, theta, rng):
+        # the truncation makes W vanish beyond 2h, so cells drop no mass
+        n = 300
+        masses = normalized(rng.random(n) + 0.1)
+        state = ParticleState(masses, rng.random((n, 1)) * 3.0, np.zeros((n, 1)))
+        kernel = Gaussian1D(0.05, cutoff_radius=0.1)
+        assert_cell_path_matches_all_pairs(state, kernel, hydro_model(7.0, theta))
 
     def test_auto_dispatch_uses_cells_for_small_support(self, rng):
         from sphwass.sph import _use_cells
