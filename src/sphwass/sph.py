@@ -213,9 +213,9 @@ def _pair_blocks(y, x, cutoff=None):
     sources = _grid_cells(x, cutoff)
     targets = sources if y is x else _grid_cells(y, cutoff)
     offsets = list(itertools.product((-1, 0, 1), repeat=x.shape[1]))
-    none = np.empty(0, dtype=np.intp)
+    empty = np.empty(0, dtype=np.intp)
     for key, rows in targets.items():
-        cols = np.concatenate([sources.get(tuple(np.add(key, o)), none) for o in offsets])
+        cols = np.concatenate([sources.get(tuple(np.add(key, o)), empty) for o in offsets])
         yield rows, cols, _pairwise_sq_dists(y[rows], x[cols], sq_y[rows], sq_x[cols])
 
 
