@@ -9,8 +9,9 @@ distances, tends to -1/2.
 Resolutions go as n = 4^k; keep the ladder short for a quick look
 (k up to 4 means n up to 256 and runs in well under a minute).  The
 k = 5 rung (n = 1024) reproduces the reference-quality rates but costs
-a few minutes of O(n^2) force evaluations plus a 256 x 1024
-transportation LP per snapshot.
+a few minutes of O(n^2) force evaluations plus a 256 x 1024 transport
+problem per snapshot (equal masses, so it is solved as a 1024 x 1024
+assignment).
 
 Run:  python demos/03_rotating_square_2d.py
 """

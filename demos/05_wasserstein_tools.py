@@ -1,9 +1,11 @@
 """The optimal-transport toolbox on its own.
 
 Three exact solvers cover the distances the convergence harness needs:
-a merged-CDF sweep in one dimension, the transportation LP in any
-dimension (with plan marginals re-solved to machine precision on the
-optimal support forest), and a closed-form semi-discrete distance
+a merged-CDF sweep in one dimension, ``w1_lp`` in any dimension (an
+assignment problem when both clouds have uniform weights and one count
+divides the other, otherwise the transportation LP with plan marginals
+re-solved to machine precision on the optimal support forest; the 40 and
+60 point clouds below take the LP), and a closed-form semi-discrete distance
 against a piecewise-constant density.  A shortest-path dual certificate
 bounds the suboptimality of any plan without trusting the solver.
 

@@ -72,15 +72,9 @@ class Gaussian1D:
             w = np.where(r2 <= self.cutoff_radius**2, w, 0.0)
         return w
 
-    def grad_scale_from_sq(self, r2, w=None):
-        """Scalar g(r^2) such that grad W(x) = g(|x|^2) * x.
-
-        The kernel value at the same points may be passed to avoid
-        recomputing the exponential.
-        """
-        if w is None:
-            w = self.value_from_sq(r2)
-        return -2.0 * w / (self.h * self.h)
+    def grad_scale_from_sq(self, r2):
+        """Scalar g(r^2) such that grad W(x) = g(|x|^2) * x."""
+        return -2.0 * self.value_from_sq(r2) / (self.h * self.h)
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -141,7 +135,7 @@ class WendlandCubic2D:
         t = np.maximum(2.0 - q, 0.0)
         return self.norm_const * (1.0 + 1.5 * q) * t * t * t
 
-    def grad_scale_from_sq(self, r2, w=None):
+    def grad_scale_from_sq(self, r2):
         """Scalar g(r^2) such that grad W(x) = g(|x|^2) * x.
 
         dW/dr = -6 sigma r (2 - r/h)^2 / h^2, so g = -6 sigma (2-q)^2 / h^2

@@ -163,8 +163,7 @@ def _pair_accel(x, m, F, theta, kernel, interaction, method):
     for rows, cols, r2 in _pair_blocks(x, x, cutoff):
         xr, xc, mc = x[rows], x[cols], m[cols]
         if F is not None:
-            w = kernel.value_from_sq(r2)
-            g = kernel.grad_scale_from_sq(r2, w)
+            g = kernel.grad_scale_from_sq(r2)
             if cutoff is not None:
                 g[r2 > cutoff * cutoff] = 0.0
             pw = mc[None, :] * (F[rows, None] + theta * F[cols][None, :]) * g
@@ -220,12 +219,17 @@ def _pair_blocks(y, x, cutoff=None):
 
 
 def _grid_cells(x, cutoff):
-    """Map integer cell coordinates to particle index arrays."""
+    """Map integer cell coordinates to particle index arrays.
+
+    Indices ascend within a cell, and cells come in the order of their
+    first particle.
+    """
     keys = np.floor(x / cutoff).astype(np.int64)
-    cells = {}
-    for i, key in enumerate(map(tuple, keys)):
-        cells.setdefault(key, []).append(i)
-    return {k: np.asarray(v, dtype=np.intp) for k, v in cells.items()}
+    order = np.lexsort(keys.T[::-1])  # stable: equal keys keep index order
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
+    members = np.split(order, starts[1:])
+    return {tuple(keys[starts[c]].tolist()): members[c] for c in np.argsort(order[starts])}
 
 
 def _use_cells(method, kernel, x, interaction):

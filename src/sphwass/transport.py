@@ -5,8 +5,13 @@ Three solvers are provided:
 
 * :func:`w1_1d_discrete` -- exact in one dimension, via the identity
   W1 = integral |F_mu - F_nu| dx over the merged support;
-* :func:`w1_lp` -- exact in any dimension, by solving the transportation
-  linear program (dual simplex) and then re-solving the flows on the
+* :func:`w1_lp` -- exact in any dimension.  When both measures carry
+  uniform weights and one size divides the other (every equal-mass
+  resolution ladder), copying each atom of the smaller measure turns the
+  transportation problem into a square assignment problem, solved by
+  Jonker-Volgenant; integrality of the transportation polytope makes its
+  optimum the exact distance.  Any other input goes to the transportation
+  linear program (dual simplex), whose flows are then re-solved on the
   optimal support forest so that plan marginals hold to machine
   precision;
 * :func:`w1_1d_vs_density` -- exact semi-discrete distance in 1D against
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 __all__ = [
     "DiscreteMeasure",
@@ -159,10 +164,13 @@ def w1_1d_discrete(mu, nu):
 def w1_lp(mu, nu, budget=DEFAULT_PAIR_BUDGET):
     """Exact Wasserstein-1 distance in any dimension, with the optimal plan.
 
-    Solves min sum pi_ij |x_i - y_j| over couplings with the HiGHS dual
-    simplex, then recomputes the flows on the optimal support forest by
-    leaf elimination so that the returned plan satisfies both marginals
-    to machine precision.  Returns ``(distance, TransportPlan)``.
+    Minimizes sum pi_ij |x_i - y_j| over couplings.  If both weight
+    vectors are exactly uniform and one size divides the other, this is
+    an assignment problem (:func:`_solve_assignment`).  Otherwise the
+    HiGHS dual simplex solves the transportation LP, and the flows are
+    recomputed on the optimal support forest by leaf elimination so that
+    the returned plan satisfies both marginals to machine precision.
+    Returns ``(distance, TransportPlan)``.
     """
     _check_same_dim(mu, nu)
     n_s, n_t = mu.n, nu.n
@@ -172,6 +180,10 @@ def w1_lp(mu, nu, budget=DEFAULT_PAIR_BUDGET):
             f"budget of {budget}; subsample the measures or raise the budget"
         )
     cost = np.linalg.norm(mu.points[:, None, :] - nu.points[None, :, :], axis=-1)
+    if _is_uniform(mu.weights) and _is_uniform(nu.weights) and (
+        n_t % n_s == 0 or n_s % n_t == 0
+    ):
+        return _solve_assignment(mu.weights, nu.weights, cost)
     x = _solve_transport_lp(mu.weights, nu.weights, cost)
     polished = _polish_plan(mu.weights, nu.weights, x, cost)
     if polished is None:
@@ -182,6 +194,33 @@ def w1_lp(mu, nu, budget=DEFAULT_PAIR_BUDGET):
         return total, TransportPlan(i=ii, j=jj, mass=mass, cost=total)
     ii, jj, mass, total = polished
     return total, TransportPlan(i=ii, j=jj, mass=mass, cost=total)
+
+
+def _is_uniform(w):
+    return bool(np.all(w == w[0]))
+
+
+def _solve_assignment(a, b, cost):
+    """Optimal plan between uniform measures whose sizes divide one another.
+
+    Each atom of the smaller measure is copied r = n_large / n_small times
+    so that both sides hold n_large atoms of equal mass; an optimal
+    permutation of the square cost matrix is then an optimal coupling
+    (the assignment polytope's vertices are permutations).  Every arc
+    carries the mass of one atom of the larger measure.
+    """
+    n_s, n_t = cost.shape
+    if n_s <= n_t:
+        r, mass = n_t // n_s, b[0]
+        rows, jj = linear_sum_assignment(np.repeat(cost, r, axis=0))
+        ii = rows // r
+    else:
+        r, mass = n_s // n_t, a[0]
+        ii, cols = linear_sum_assignment(np.repeat(cost, r, axis=1))
+        jj = cols // r
+    flow = np.full(len(ii), mass)
+    total = float(np.sum(flow * cost[ii, jj]))
+    return total, TransportPlan(i=ii, j=jj, mass=flow, cost=total)
 
 
 def _solve_transport_lp(a, b, cost):
@@ -369,7 +408,7 @@ def _abs_linear_integral(c0, c1, width):
 
 
 def wasserstein1(mu, nu, budget=DEFAULT_PAIR_BUDGET):
-    """Dispatch: exact 1D sweep when d = 1, transportation LP otherwise."""
+    """Dispatch: exact 1D sweep when d = 1, :func:`w1_lp` otherwise."""
     _check_same_dim(mu, nu)
     if mu.dim == 1:
         return w1_1d_discrete(mu, nu)

@@ -160,8 +160,8 @@ class TestVerifyCommand:
 
         original = WendlandCubic2D.grad_scale_from_sq
 
-        def corrupted(self, r2, w=None):
-            g = original(self, r2, w)
+        def corrupted(self, r2):
+            g = original(self, r2)
             g = np.atleast_2d(np.asarray(g, dtype=float).copy())
             g[:, ::2] *= -1.0
             return g

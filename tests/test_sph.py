@@ -215,6 +215,22 @@ class TestPairBlocks:
             r2, ((y[:, None, :] - x[None, :, :]) ** 2).sum(-1), atol=1e-15
         )
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_grid_cells_match_per_particle_binning(self, rng, dim):
+        # the cell path's summation order follows the cells' index order,
+        # so the binning must equal a sweep over the particles exactly
+        from sphwass.sph import _grid_cells
+
+        x = rng.standard_normal((300, dim))
+        expected = {}
+        for i, key in enumerate(map(tuple, np.floor(x / 0.3).astype(np.int64))):
+            expected.setdefault(key, []).append(i)
+        cells = _grid_cells(x, 0.3)
+        assert list(cells) == list(expected)
+        for key, members in cells.items():
+            assert members.dtype == np.intp
+            assert members.tolist() == expected[key]
+
 
 def assert_cell_path_matches_all_pairs(state, kernel, fm):
     rho_ap = compute_density(state, kernel, method="all-pairs").rho

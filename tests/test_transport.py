@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sphwass.transport as transport
 from sphwass import (
     DiscreteMeasure,
     TransportBudgetError,
@@ -118,6 +121,83 @@ class TestW1LP:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             w1_lp(random_measure(rng, 3, dim=1), random_measure(rng, 3, dim=2))
+
+
+def lp_reference(mu, nu):
+    """The HiGHS + leaf-elimination distance, bypassing the dispatch."""
+    cost = np.linalg.norm(mu.points[:, None, :] - nu.points[None, :, :], axis=-1)
+    x = transport._solve_transport_lp(mu.weights, nu.weights, cost)
+    polished = transport._polish_plan(mu.weights, nu.weights, x, cost)
+    return float(np.sum(x * cost)) if polished is None else polished[3]
+
+
+@st.composite
+def uniform_pairs(draw):
+    """Uniform clouds in 1D or 2D whose sizes differ by 1, 2 or 4, either way
+    round; on a coarse lattice, points tie and optimal plans are degenerate."""
+    dim = draw(st.sampled_from([1, 2]))
+    small = draw(st.integers(1, 12))
+    large = small * draw(st.sampled_from([1, 2, 4]))
+    n_s, n_t = (large, small) if draw(st.booleans()) else (small, large)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lattice = draw(st.booleans())
+
+    def points(n):
+        return rng.integers(0, 4, (n, dim)) / 4.0 if lattice else rng.random((n, dim))
+
+    mu = DiscreteMeasure(points(n_s), np.full(n_s, 1.0 / n_s))
+    nu = DiscreteMeasure(points(n_t), np.full(n_t, 1.0 / n_t))
+    return mu, nu
+
+
+class TestAssignmentDispatch:
+    @settings(max_examples=60, deadline=None)
+    @given(uniform_pairs())
+    def test_matches_lp_reference(self, pair):
+        mu, nu = pair
+        dist, plan = w1_lp(mu, nu)
+        assert abs(dist - lp_reference(mu, nu)) <= 1e-9
+        assert plan.cost == dist
+        np.testing.assert_allclose(plan.row_marginal(mu.n), mu.weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(plan.col_marginal(nu.n), nu.weights, rtol=0, atol=1e-12)
+        gap, violation = dual_certificate(mu, nu, plan)
+        assert abs(gap) <= 1e-9
+        assert violation <= 1e-9
+
+    @pytest.fixture
+    def linprog_calls(self, monkeypatch):
+        calls, linprog = [], transport.linprog
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "linprog", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "n_s, n_t, uniform, lp_calls",
+        [
+            (16, 64, True, 0),
+            (64, 16, True, 0),
+            (4, 1, True, 0),
+            (16, 64, False, 1),
+            (3, 5, True, 1),
+            (6, 4, True, 1),
+        ],
+    )
+    def test_linprog_only_off_the_assignment_path(
+        self, rng, linprog_calls, n_s, n_t, uniform, lp_calls
+    ):
+        if uniform:
+            mu = DiscreteMeasure(rng.random((n_s, 2)), np.full(n_s, 1.0 / n_s))
+            nu = DiscreteMeasure(rng.random((n_t, 2)), np.full(n_t, 1.0 / n_t))
+        else:
+            mu, nu = random_measure(rng, n_s, dim=2), random_measure(rng, n_t, dim=2)
+        _, plan = w1_lp(mu, nu)
+        assert len(linprog_calls) == lp_calls
+        gap, _ = dual_certificate(mu, nu, plan)
+        assert abs(gap) <= 1e-9
 
 
 class TestMetricAxioms:
