@@ -53,6 +53,7 @@ from .transport import (
     RateTable,
     TransportBudgetError,
     TransportPlan,
+    assignment_applies,
     convergence_rates,
     dual_certificate,
     sup_wasserstein_over_time,

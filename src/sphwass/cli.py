@@ -35,7 +35,13 @@ from .initial import Box, InitialSpec, equipartition
 from .integrator import IntegratorConfig, run
 from .kernels import Gaussian1D, WendlandCubic2D
 from .sph import ParticleState, compute_accelerations, compute_density, momentum
-from .transport import DiscreteMeasure, w1_1d_discrete, w1_1d_vs_density, w1_lp
+from .transport import (
+    DiscreteMeasure,
+    assignment_applies,
+    w1_1d_discrete,
+    w1_1d_vs_density,
+    w1_lp,
+)
 
 __all__ = ["main", "run_verification_checks"]
 
@@ -138,9 +144,10 @@ def cmd_distance(args):
             print("error: the cdf solver requires 1-d clouds", file=sys.stderr)
             return EXIT_USAGE
         dist = w1_1d_discrete(mu, nu)
+        label = "exact 1D CDF sweep"
     else:
         dist, _ = w1_lp(mu, nu)
-    label = "exact 1D CDF sweep" if solver == "cdf" else "transportation LP"
+        label = "assignment" if assignment_applies(mu, nu) else "transportation LP"
     print(f"W1 = {_fmt(dist)}   (solver: {label})")
     return EXIT_OK
 

@@ -219,17 +219,14 @@ def _pair_blocks(y, x, cutoff=None):
 
 
 def _grid_cells(x, cutoff):
-    """Map integer cell coordinates to particle index arrays.
-
-    Indices ascend within a cell, and cells come in the order of their
-    first particle.
-    """
+    """Map integer cell coordinates to ascending particle index arrays."""
+    if x.shape[0] == 0:
+        return {}
     keys = np.floor(x / cutoff).astype(np.int64)
     order = np.lexsort(keys.T[::-1])  # stable: equal keys keep index order
     keys = keys[order]
     starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
-    members = np.split(order, starts[1:])
-    return {tuple(keys[starts[c]].tolist()): members[c] for c in np.argsort(order[starts])}
+    return dict(zip(map(tuple, keys[starts].tolist()), np.split(order, starts[1:])))
 
 
 def _use_cells(method, kernel, x, interaction):

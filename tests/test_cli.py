@@ -135,7 +135,15 @@ class TestDistanceCommand:
         assert main(["distance", str(a), str(b)]) == 0
         out = capsys.readouterr().out
         assert "W1 = 5 " in out
-        assert "LP" in out
+        assert "(solver: assignment)" in out
+
+    def test_lp_label_for_unequal_masses(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_cloud(a, [[0.0, 0.0], [0.0, 1.0]], [1.0, 3.0])
+        write_cloud(b, [[3.0, 4.0]], [1.0])
+        assert main(["distance", str(a), str(b)]) == 0
+        out = capsys.readouterr().out
+        assert "(solver: transportation LP)" in out
 
     def test_full_precision_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

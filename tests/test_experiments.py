@@ -173,6 +173,14 @@ class TestDensityProfile:
         rho = compute_density(state, kernel).rho
         np.testing.assert_allclose(prof.values, rho, rtol=1e-14)
 
+    def test_empty_grid_on_the_cell_path(self, rng):
+        from sphwass import ParticleState
+
+        n = 600
+        state = ParticleState(np.full(n, 1.0 / n), rng.random((n, 2)), np.zeros((n, 2)))
+        prof = density_profile(state, WendlandCubic2D(0.05), np.zeros((0, 2)))
+        assert prof.values.shape == (0,)
+
     def test_grid_dimension_checked(self):
         state = equipartition(InitialSpec(n=4, dim=2))
         with pytest.raises(ValueError):

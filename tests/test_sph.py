@@ -226,10 +226,9 @@ class TestPairBlocks:
         for i, key in enumerate(map(tuple, np.floor(x / 0.3).astype(np.int64))):
             expected.setdefault(key, []).append(i)
         cells = _grid_cells(x, 0.3)
-        assert list(cells) == list(expected)
-        for key, members in cells.items():
-            assert members.dtype == np.intp
-            assert members.tolist() == expected[key]
+        assert {key: members.tolist() for key, members in cells.items()} == expected
+        assert all(members.dtype == np.intp for members in cells.values())
+        assert _grid_cells(x[:0], 0.3) == {}
 
 
 def assert_cell_path_matches_all_pairs(state, kernel, fm):

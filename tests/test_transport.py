@@ -7,6 +7,7 @@ import sphwass.transport as transport
 from sphwass import (
     DiscreteMeasure,
     TransportBudgetError,
+    assignment_applies,
     convergence_rates,
     dual_certificate,
     sup_wasserstein_over_time,
@@ -198,6 +199,32 @@ class TestAssignmentDispatch:
         assert len(linprog_calls) == lp_calls
         gap, _ = dual_certificate(mu, nu, plan)
         assert abs(gap) <= 1e-9
+
+
+    @pytest.mark.parametrize("n_s, n_t", [(1, 200), (200, 1), (4, 200)])
+    def test_skewed_ratios_take_the_lp(self, rng, linprog_calls, monkeypatch, n_s, n_t):
+        # 1 and 4 against 200 atoms: the copied matrix would hold 200 x 200
+        # entries, 200 and 50 times the n_s x n_t the LP needs
+        def no_assignment(cost):
+            raise AssertionError(f"assignment on a {cost.shape} matrix")
+
+        monkeypatch.setattr(transport, "linear_sum_assignment", no_assignment)
+        mu = DiscreteMeasure(rng.random((n_s, 2)), np.full(n_s, 1.0 / n_s))
+        nu = DiscreteMeasure(rng.random((n_t, 2)), np.full(n_t, 1.0 / n_t))
+        dist, plan = w1_lp(mu, nu)
+        assert len(linprog_calls) == 1
+        assert abs(dist - lp_reference(mu, nu)) <= 1e-12
+        gap, _ = dual_certificate(mu, nu, plan)
+        assert abs(gap) <= 1e-9
+
+    def test_assignment_matrix_must_fit_the_budget(self, rng, linprog_calls):
+        # 16 x 64 = 1024 entries fit a budget of 1024, the 64 x 64 copy does not
+        mu = DiscreteMeasure(rng.random((16, 2)), np.full(16, 1.0 / 16))
+        nu = DiscreteMeasure(rng.random((64, 2)), np.full(64, 1.0 / 64))
+        assert not assignment_applies(mu, nu, budget=1024)
+        assert assignment_applies(mu, nu, budget=4096)
+        w1_lp(mu, nu, budget=1024)
+        assert len(linprog_calls) == 1
 
 
 class TestMetricAxioms:
