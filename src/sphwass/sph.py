@@ -16,10 +16,13 @@ particle, or, when :func:`_use_cells` finds the kernel's support small
 against the cloud, each grid cell against its 3^d neighbor cells.  Blocks
 come in a fixed order, so a given state always produces bitwise-identical
 results.  All functions here are pure; :class:`ParticleState` snapshots
-are never mutated.
+are never mutated.  Importing the module tunes glibc's allocator so that
+the engine's block temporaries are reused (:func:`_keep_freed_blocks`).
 """
 
+import ctypes
 import itertools
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -42,6 +45,35 @@ __all__ = [
 # Row-block size for chunked pairwise evaluation: bounds peak memory at
 # roughly block * n doubles per intermediate matrix.
 _BLOCK = 512
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_blocks():
+    """Keep freed pair blocks in the heap instead of handing them back.
+
+    Every force evaluation allocates several ``_BLOCK`` x n temporaries.
+    By default glibc returns them to the kernel after each evaluation
+    (its trim threshold is only twice the largest block it has mapped),
+    so the next evaluation page-faults them in again.  For a dense
+    256-particle study on a 2-vCPU Xeon that was 146k minor faults and
+    about half of the run time.  Blocks up to 32 MB now come from the
+    heap and up to 64 MB of freed heap stays mapped; peak memory is
+    unchanged.  Without glibc's ``mallopt`` this does nothing.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 * 2**20)
+    mallopt(_M_TRIM_THRESHOLD, 64 * 2**20)
+
+
+_keep_freed_blocks()
 
 
 @dataclass
