@@ -3,10 +3,10 @@
 Three exact solvers cover the distances the convergence harness needs:
 a merged-CDF sweep in one dimension, ``w1_lp`` in any dimension (an
 assignment problem when both clouds have uniform weights and one count
-divides the other, otherwise the transportation LP with plan marginals
-re-solved to machine precision on the optimal support forest; the 40 and
-60 point clouds below take the LP), and a closed-form semi-discrete distance
-against a piecewise-constant density.  A shortest-path dual certificate
+divides the other by at most 16, otherwise the transportation LP with
+plan marginals re-solved to machine precision on the optimal support
+forest; the 40 and 60 point clouds below take the LP), and a closed-form
+semi-discrete distance against a piecewise-constant density.  A shortest-path dual certificate
 bounds the suboptimality of any plan without trusting the solver.
 
 Run:  python demos/05_wasserstein_tools.py
