@@ -59,7 +59,7 @@ def _keep_freed_blocks():
     (its trim threshold is only twice the largest block it has mapped),
     so the next evaluation page-faults them in again.  For a dense
     256-particle study on a 2-vCPU Xeon that was 146k minor faults and
-    about half of the run time.  Blocks up to 32 MB now come from the
+    about half of the run time.  Here blocks up to 32 MB come from the
     heap and up to 64 MB of freed heap stays mapped; peak memory is
     unchanged.  Without glibc's ``mallopt`` this does nothing.
     """

@@ -7,13 +7,13 @@ Three solvers are provided:
   W1 = integral |F_mu - F_nu| dx over the merged support;
 * :func:`w1_lp` -- exact in any dimension.  When both measures carry
   uniform weights and one size divides the other by at most 16 (every
-  equal-mass resolution ladder), copying each atom of the smaller measure turns the
-  transportation problem into a square assignment problem, solved by
-  Jonker-Volgenant; integrality of the transportation polytope makes its
-  optimum the exact distance.  Any other input goes to the transportation
-  linear program (dual simplex), whose flows are then re-solved on the
-  optimal support forest so that plan marginals hold to machine
-  precision;
+  equal-mass resolution ladder), copying each atom of the smaller
+  measure turns the transportation problem into a square assignment
+  problem, solved by Jonker-Volgenant; integrality of the
+  transportation polytope makes its optimum the exact distance.  Any
+  other input goes to the transportation linear program (dual simplex),
+  whose flows are then re-solved on the optimal support forest so that
+  plan marginals hold to machine precision;
 * :func:`w1_1d_vs_density` -- exact semi-discrete distance in 1D against
   a piecewise-constant density, by closed-form CDF integration.
 
