@@ -42,7 +42,7 @@ print("bare-1/8 Wendland integral deviates from 1 by %.4f" % bare.normalization_
 
 # 512 particles equipartitioning the unit interval, each carrying mass 1/512
 state = equipartition(InitialSpec(n=512))
-rho = compute_density(state, gauss).rho
+rho = compute_density(state, gauss)
 print("\nper-particle density: min %.4f  max %.4f" % (rho.min(), rho.max()))
 
 # evaluate the same field on a probe grid; with h = 1 the cloud looks like

@@ -38,7 +38,6 @@ from .integrator import (
 )
 from .kernels import Gaussian1D, WendlandCubic2D
 from .sph import (
-    DensityField,
     ParticleState,
     SupportDiagnostic,
     angular_momentum,
@@ -53,13 +52,13 @@ from .transport import (
     RateTable,
     TransportBudgetError,
     TransportPlan,
-    assignment_applies,
     convergence_rates,
     dual_certificate,
     sup_wasserstein_over_time,
     w1_1d_discrete,
     w1_1d_vs_density,
     w1_lp,
+    w1_solver,
     wasserstein1,
 )
 from .experiments import (

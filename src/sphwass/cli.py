@@ -8,10 +8,12 @@ Subcommands::
     sphwass profile CLOUD.csv ...  # kernel density on a grid, as CSV
 
 Point-cloud CSVs carry a header ``id,x0[,x1,...],mass``; the study runner
-writes them as ``cloud_final_k<k>.csv``.  Exit codes: 0 success, 1
-runtime or verification failure, 2 usage/configuration error.  Numeric
-output is printed with 17 significant digits so downstream rate
-computations are reproducible from files alone.
+writes them as ``cloud_final_k<k>.csv``.  ``distance`` has no solver
+option: it prints the solver that :func:`sphwass.transport.w1_solver`
+picks from the two clouds.  Exit codes: 0 success, 1 runtime or
+verification failure, 2 usage/configuration error.  Numeric output is
+printed with 17 significant digits so downstream rate computations are
+reproducible from files alone.
 """
 
 import argparse
@@ -37,10 +39,11 @@ from .kernels import Gaussian1D, WendlandCubic2D
 from .sph import ParticleState, compute_accelerations, compute_density, momentum
 from .transport import (
     DiscreteMeasure,
-    assignment_applies,
     w1_1d_discrete,
     w1_1d_vs_density,
     w1_lp,
+    w1_solver,
+    wasserstein1,
 )
 
 __all__ = ["main", "run_verification_checks"]
@@ -117,8 +120,8 @@ def _read_cloud(path):
             wts.append(float(row[mcol]))
     weights = np.asarray(wts)
     total = weights.sum()
-    if total <= 0:
-        raise ValueError(f"{path}: masses must have positive total")
+    if not 0 < total < np.inf:  # also false for NaN
+        raise ValueError(f"{path}: masses must have a finite positive total")
     return DiscreteMeasure(points=np.asarray(pts), weights=weights / total)
 
 
@@ -136,19 +139,8 @@ def cmd_distance(args):
             file=sys.stderr,
         )
         return EXIT_USAGE
-    solver = args.solver
-    if solver == "auto":
-        solver = "cdf" if mu.dim == 1 else "lp"
-    if solver == "cdf":
-        if mu.dim != 1:
-            print("error: the cdf solver requires 1-d clouds", file=sys.stderr)
-            return EXIT_USAGE
-        dist = w1_1d_discrete(mu, nu)
-        label = "exact 1D CDF sweep"
-    else:
-        dist, _ = w1_lp(mu, nu)
-        label = "assignment" if assignment_applies(mu, nu) else "transportation LP"
-    print(f"W1 = {_fmt(dist)}   (solver: {label})")
+    dist = wasserstein1(mu, nu)
+    print(f"W1 = {_fmt(dist)}   (solver: {w1_solver(mu, nu)})")
     return EXIT_OK
 
 
@@ -219,11 +211,11 @@ def run_verification_checks(rng_seed=2024):
         masses /= masses.sum()
         state = ParticleState(masses, rng.random((n, dim)), rng.standard_normal((n, dim)))
         kernel = Gaussian1D(1.0) if dim == 1 else WendlandCubic2D(1.0)
-        dens = compute_density(state, kernel)
+        rho = compute_density(state, kernel)
         accs = {}
         for theta in (0, 1):
             fm = ForceModel(theta=theta, eos=EosPolytropic(gamma=2.0))
-            accs[theta] = compute_accelerations(state, dens, fm, kernel)
+            accs[theta] = compute_accelerations(state, rho, fm, kernel)
         scale = np.abs(accs[1]).max()
         if scale > 0:
             worst = max(worst, np.abs(accs[0] - accs[1]).max() / scale)
@@ -298,10 +290,6 @@ def build_parser():
     p_dist = sub.add_parser("distance", help="Wasserstein-1 distance between two clouds")
     p_dist.add_argument("file_a")
     p_dist.add_argument("file_b")
-    p_dist.add_argument(
-        "--solver", choices=("auto", "cdf", "lp"), default="auto",
-        help="auto picks the exact 1D sweep when both clouds are 1-d",
-    )
     p_dist.set_defaults(func=cmd_distance)
 
     p_ver = sub.add_parser("verify", help="run the fast self-check suite")

@@ -32,6 +32,7 @@ stepping (``dt = 1e-2``, ``t_end = 100``).
 """
 
 import json
+import sys
 
 from .forces import MorseInteraction
 from .experiments import FAMILIES, ExperimentPlan
@@ -101,15 +102,16 @@ def load_config(path):
     return validate_config(raw)
 
 
-def _require_number(cfg, key, positive=False, nonnegative=False):
-    val = cfg[key]
+def _require_number(field, val, positive=False, nonnegative=False):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(key, f"expected a number, got {val!r}")
+        raise ConfigError(field, f"expected a number, got {val!r}")
+    # Python's json reads NaN, Infinity and integers beyond the float range
+    if not abs(val) <= sys.float_info.max:
+        raise ConfigError(field, f"must be finite, got {val!r}")
     if positive and val <= 0:
-        raise ConfigError(key, f"must be positive, got {val!r}")
+        raise ConfigError(field, f"must be positive, got {val!r}")
     if nonnegative and val < 0:
-        raise ConfigError(key, f"must be nonnegative, got {val!r}")
-    return float(val)
+        raise ConfigError(field, f"must be nonnegative, got {val!r}")
 
 
 def validate_config(raw):
@@ -121,7 +123,7 @@ def validate_config(raw):
         raise ConfigError(sorted(unknown)[0], "unknown key")
     if "family" not in raw:
         raise ConfigError("family", "required")
-    if raw["family"] not in FAMILIES:
+    if not isinstance(raw["family"], str) or raw["family"] not in FAMILIES:
         raise ConfigError(
             "family", f"must be one of {sorted(FAMILIES)}, got {raw['family']!r}"
         )
@@ -142,15 +144,15 @@ def validate_config(raw):
             "resolutions", "must be a strictly increasing list of integers >= 1"
         )
 
-    _require_number(cfg, "gamma", positive=True)
-    _require_number(cfg, "kappa", positive=True)
+    _require_number("gamma", cfg["gamma"], positive=True)
+    _require_number("kappa", cfg["kappa"], positive=True)
     if cfg["theta"] not in (0, 1) or isinstance(cfg["theta"], bool):
         raise ConfigError("theta", f"must be 0 or 1, got {cfg['theta']!r}")
-    _require_number(cfg, "dt", positive=True)
-    _require_number(cfg, "t_end", positive=True)
+    _require_number("dt", cfg["dt"], positive=True)
+    _require_number("t_end", cfg["t_end"], positive=True)
     if not isinstance(cfg["n_snapshots"], int) or cfg["n_snapshots"] < 2:
         raise ConfigError("n_snapshots", "must be an integer >= 2")
-    _require_number(cfg, "eta", nonnegative=True)
+    _require_number("eta", cfg["eta"], nonnegative=True)
 
     hm = cfg["h_mode"]
     if not isinstance(hm, dict) or hm.get("mode") not in ("fixed", "scaled"):
@@ -158,13 +160,11 @@ def validate_config(raw):
     if hm["mode"] == "fixed":
         if set(hm) != {"mode", "value"}:
             raise ConfigError("h_mode", "fixed mode takes exactly {'mode', 'value'}")
-        if not isinstance(hm["value"], (int, float)) or hm["value"] <= 0:
-            raise ConfigError("h_mode.value", "must be a positive number")
+        _require_number("h_mode.value", hm["value"], positive=True)
     else:
         if set(hm) != {"mode", "epsilon"}:
             raise ConfigError("h_mode", "scaled mode takes exactly {'mode', 'epsilon'}")
-        if not isinstance(hm["epsilon"], (int, float)) or hm["epsilon"] <= 0:
-            raise ConfigError("h_mode.epsilon", "must be a positive number")
+        _require_number("h_mode.epsilon", hm["epsilon"], positive=True)
 
     init = cfg["init"]
     if not isinstance(init, dict) or init.get("mode") not in ("equipartition", "iid"):
@@ -182,8 +182,7 @@ def validate_config(raw):
         if not isinstance(morse, dict) or set(morse) - _MORSE_KEYS:
             raise ConfigError("morse", f"allowed keys are {sorted(_MORSE_KEYS)}")
         for key, val in morse.items():
-            if not isinstance(val, (int, float)) or val <= 0:
-                raise ConfigError(f"morse.{key}", "must be a positive number")
+            _require_number(f"morse.{key}", val, positive=True)
     elif cfg["family"] == "morse_2d":
         cfg["morse"] = {}
 

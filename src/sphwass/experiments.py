@@ -317,7 +317,7 @@ def emit_report(result, outdir, config=None):
         with open(snap_path, "w") as fh:
             fh.write(f"t,id,{xcols},{vcols},rho\n")
             for t, state in zip(rec.trajectory.times, rec.trajectory.states):
-                rho = compute_density(state, kernel).rho
+                rho = compute_density(state, kernel)
                 for pid in range(state.n):
                     xs = ",".join(_fmt(v) for v in state.positions[pid])
                     vs = ",".join(_fmt(v) for v in state.velocities[pid])

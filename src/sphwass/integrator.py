@@ -18,6 +18,7 @@ contractive for every dt * eta.  With eta = 0 the scheme is the plain
 symplectic leapfrog.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,36 +83,40 @@ class Trajectory:
 
 def _nodrag_accel(state, fm, kernel):
     # only a pressure law reads the density
-    density = compute_density(state, kernel) if fm.eos is not None else None
-    return compute_accelerations(state, density, fm, kernel, include_drag=False)
+    rho = compute_density(state, kernel) if fm.eos is not None else None
+    return compute_accelerations(state, rho, fm, kernel, include_drag=False)
 
 
-def _kick_drift_kick(m, x, v, a, fm, kernel, dt, k):
-    """Step ``k`` from (x, v), given the drag-free acceleration ``a`` at x.
+def _kick_drift_kick(probe, a, fm, kernel, dt, k):
+    """Step ``k`` from the probe's (x, v), given the drag-free acceleration
+    ``a`` at x.
 
-    Returns the new positions and velocities and the acceleration at the
-    new positions, which the next step starts from.
+    Rebinds the probe's positions and velocities to the new arrays instead
+    of building a validated state per step; the arrays it held before are
+    left untouched.  Returns the acceleration at the new positions, which
+    the next step starts from.
     """
+    x, v = probe.positions, probe.velocities
     eta0 = fm.eta_at(x)[:, None]
     v = v * (1.0 - 0.5 * dt * eta0) + 0.5 * dt * a
     x = x + dt * v
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
         raise SimulationDivergedError(k)
-    a = _nodrag_accel(ParticleState(m, x, v), fm, kernel)
+    probe.positions, probe.velocities = x, v
+    a = _nodrag_accel(probe, fm, kernel)
     eta1 = fm.eta_at(x)[:, None]
     v = (v + 0.5 * dt * a) / (1.0 + 0.5 * dt * eta1)
     if not np.all(np.isfinite(v)):
         raise SimulationDivergedError(k)
-    return x, v, a
+    probe.velocities = v
+    return a
 
 
 def step(state, fm, kernel, dt):
     """One kick-drift-kick step; returns a new state at time t + dt."""
-    a = _nodrag_accel(state, fm, kernel)
-    x, v, _ = _kick_drift_kick(
-        state.masses, state.positions, state.velocities, a, fm, kernel, dt, 1
-    )
-    return ParticleState(state.masses, x, v, state.time + dt)
+    probe = copy.copy(state)
+    _kick_drift_kick(probe, _nodrag_accel(state, fm, kernel), fm, kernel, dt, 1)
+    return ParticleState(state.masses, probe.positions, probe.velocities, state.time + dt)
 
 
 def run(state0, fm, kernel, cfg):
@@ -124,16 +129,15 @@ def run(state0, fm, kernel, cfg):
     want = set(snap_steps)
     times, states = [], []
 
-    m = state0.masses.copy()
-    x = state0.positions.copy()
-    v = state0.velocities.copy()
+    probe = state0.copy()
     t0 = state0.time
 
-    a = _nodrag_accel(state0, fm, kernel)
+    a = _nodrag_accel(probe, fm, kernel)
     for k in range(n_steps + 1):
         if k > 0:
-            x, v, a = _kick_drift_kick(m, x, v, a, fm, kernel, cfg.dt, k)
+            a = _kick_drift_kick(probe, a, fm, kernel, cfg.dt, k)
         if k in want:
-            times.append(t0 + k * cfg.dt)
-            states.append(ParticleState(m, x, v, t0 + k * cfg.dt))
+            t = t0 + k * cfg.dt
+            times.append(t)
+            states.append(ParticleState(probe.masses, probe.positions, probe.velocities, t))
     return Trajectory(times=times, states=states)

@@ -12,9 +12,11 @@ grad W_h(0) = 0, and the i = k interaction term because K(0) = 0.
 
 Both pair sums run on one engine, :func:`_pair_blocks`, which yields
 squared distances block by block: dense row blocks against every
-particle, or, when :func:`_use_cells` finds the kernel's support small
-against the cloud, each grid cell against its 3^d neighbor cells.  Blocks
-come in a fixed order, so a given state always produces bitwise-identical
+particle, or each grid cell against its 3^d neighbor cells.  The input
+alone picks between the two: :func:`_use_cells` takes cells when the
+kernel's support is small against the cloud.  Pairs beyond the support
+need no mask, since both kernels return exact zeros there.  Blocks come
+in a fixed order, so a given state always produces bitwise-identical
 results.  All functions here are pure; :class:`ParticleState` snapshots
 are never mutated.  Importing the module tunes glibc's allocator so that
 the engine's block temporaries are reused (:func:`_keep_freed_blocks`).
@@ -32,7 +34,6 @@ from .forces import f_theta
 
 __all__ = [
     "ParticleState",
-    "DensityField",
     "SupportDiagnostic",
     "compute_density",
     "compute_accelerations",
@@ -124,13 +125,6 @@ class ParticleState:
         )
 
 
-@dataclass
-class DensityField:
-    """Per-particle regularized density."""
-
-    rho: np.ndarray
-
-
 def _pairwise_sq_dists(x_block, x_all, sq_block, sq_all):
     """Squared distances |x_k - x_i|^2 via the inner-product expansion.
 
@@ -141,30 +135,30 @@ def _pairwise_sq_dists(x_block, x_all, sq_block, sq_all):
     return r2
 
 
-def compute_density(state, kernel, method="auto"):
-    """Summation density rho_i = sum_j m_j W_h(x_i - x_j), self-term included."""
+def compute_density(state, kernel):
+    """Summation density rho_i = sum_j m_j W_h(x_i - x_j), self-term included.
+
+    Returns an (n,) array.
+    """
     if state.dim != kernel.dim:
         raise ValueError(f"state dimension {state.dim} != kernel dimension {kernel.dim}")
-    return DensityField(rho=_density_at(state.positions, state, kernel, method))
+    return _density_at(state.positions, state, kernel)
 
 
-def _density_at(y, state, kernel, method="auto"):
+def _density_at(y, state, kernel):
     """Regularized density sum_j m_j W_h(y_k - x_j) of ``state`` at points y."""
     x, m = state.positions, state.masses
-    cutoff = kernel.support_radius if _use_cells(method, kernel, x, None) else None
+    cutoff = kernel.support_radius if _use_cells(kernel, x, None) else None
     rho = np.zeros(y.shape[0])
     for rows, cols, r2 in _pair_blocks(y, x, cutoff):
-        w = kernel.value_from_sq(r2)
-        if cutoff is not None:
-            w[r2 > cutoff * cutoff] = 0.0
-        rho[rows] = w @ m[cols]
+        rho[rows] = kernel.value_from_sq(r2) @ m[cols]
     return rho
 
 
-def compute_accelerations(state, density, fm, kernel, method="auto", include_drag=True):
+def compute_accelerations(state, rho, fm, kernel, include_drag=True):
     """Per-particle accelerations of the theta-parameterized scheme.
 
-    ``density`` must come from :func:`compute_density` on the same state;
+    ``rho`` must come from :func:`compute_density` on the same state;
     it is not read (and may be None) when ``fm.eos`` is None.
     ``include_drag=False`` omits the -eta(x) v term (the integrator folds
     drag into its half-kicks instead).  Returns an (n, d) array.
@@ -172,11 +166,11 @@ def compute_accelerations(state, density, fm, kernel, method="auto", include_dra
     x, v, m = state.positions, state.velocities, state.masses
 
     if fm.eos is not None:
-        F = np.asarray(f_theta(fm.eos, fm.theta, density.rho), dtype=float)
+        F = np.asarray(f_theta(fm.eos, fm.theta, rho), dtype=float)
     else:
         F = None
 
-    acc = _pair_accel(x, m, F, fm.theta, kernel, fm.interaction, method)
+    acc = _pair_accel(x, m, F, fm.theta, kernel, fm.interaction)
 
     acc -= fm.grad_v(x)
     if include_drag:
@@ -184,20 +178,18 @@ def compute_accelerations(state, density, fm, kernel, method="auto", include_dra
     return acc
 
 
-def _pair_accel(x, m, F, theta, kernel, interaction, method):
+def _pair_accel(x, m, F, theta, kernel, interaction):
     """Pressure and interaction pair sums.
 
     Within a block the pair sum  -sum_i w_ki (x_k - x_i)  is folded into
     two matrix products: (w @ x) - x_k * rowsum(w).
     """
-    cutoff = kernel.support_radius if _use_cells(method, kernel, x, interaction) else None
+    cutoff = kernel.support_radius if _use_cells(kernel, x, interaction) else None
     acc = np.zeros_like(x)
     for rows, cols, r2 in _pair_blocks(x, x, cutoff):
         xr, xc, mc = x[rows], x[cols], m[cols]
         if F is not None:
             g = kernel.grad_scale_from_sq(r2)
-            if cutoff is not None:
-                g[r2 > cutoff * cutoff] = 0.0
             pw = mc[None, :] * (F[rows, None] + theta * F[cols][None, :]) * g
             acc[rows] += pw @ xc - xr * pw.sum(axis=1)[:, None]
         if interaction is not None:
@@ -231,8 +223,8 @@ def _pair_blocks(y, x, cutoff=None):
 
     Without a cutoff the blocks are ``_BLOCK`` targets against all sources.
     With one, targets and sources are binned into cells of side ``cutoff``
-    and each target cell meets the sources of its 3^d adjacent cells; the
-    consumer masks the pairs in those cells that lie beyond the cutoff.
+    and each target cell meets the sources of its 3^d adjacent cells, pairs
+    beyond the cutoff included.
     """
     sq_x = np.einsum("id,id->i", x, x)
     sq_y = sq_x if y is x else np.einsum("id,id->i", y, y)
@@ -261,17 +253,12 @@ def _grid_cells(x, cutoff):
     return dict(zip(map(tuple, keys[starts].tolist()), np.split(order, starts[1:])))
 
 
-def _use_cells(method, kernel, x, interaction):
-    if method == "all-pairs":
-        return False
-    if method == "cell-list":
-        if not np.isfinite(kernel.support_radius):
-            raise ValueError("cell lists require a compactly supported kernel")
-        if interaction is not None:
-            raise ValueError("cell lists cannot cover an unbounded interaction")
-        return True
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
+def _use_cells(kernel, x, interaction):
+    """Whether the pair sums over the sources ``x`` run on cell lists.
+
+    Cells need a compact kernel and no interaction, whose support is
+    unbounded.
+    """
     if interaction is not None or not np.isfinite(kernel.support_radius):
         return False
     extent = (x.max(axis=0) - x.min(axis=0)).max() if x.size else 0.0

@@ -1,7 +1,10 @@
 """Wasserstein-1 distances between discrete measures and convergence-rate
 estimation.
 
-Three solvers are provided:
+Three exact solvers are provided.  Between two discrete measures,
+:func:`wasserstein1` is the one entry point: it applies the solver that
+:func:`w1_solver` names for the input, the 1D sweep or one of the two
+paths of :func:`w1_lp`.
 
 * :func:`w1_1d_discrete` -- exact in one dimension, via the identity
   W1 = integral |F_mu - F_nu| dx over the merged support;
@@ -35,7 +38,7 @@ __all__ = [
     "TransportBudgetError",
     "w1_1d_discrete",
     "w1_lp",
-    "assignment_applies",
+    "w1_solver",
     "w1_1d_vs_density",
     "wasserstein1",
     "sup_wasserstein_over_time",
@@ -77,6 +80,8 @@ class DiscreteMeasure:
             raise ValueError("points and weights must share length")
         if not np.all(np.isfinite(self.points)):
             raise ValueError("points must be finite")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("weights must be finite")
         if np.any(self.weights < 0):
             raise ValueError("weights must be nonnegative")
         if abs(self.weights.sum() - 1.0) > _WEIGHT_TOL:
@@ -173,7 +178,7 @@ def w1_lp(mu, nu, budget=DEFAULT_PAIR_BUDGET):
 
     Minimizes sum pi_ij |x_i - y_j| over couplings.  If both weight
     vectors are exactly uniform and one size divides the other by a small
-    ratio, this is an assignment problem (:func:`assignment_applies`,
+    ratio, this is an assignment problem (:func:`_assignment_applies`,
     :func:`_solve_assignment`).  Otherwise the
     HiGHS dual simplex solves the transportation LP, and the flows are
     recomputed on the optimal support forest by leaf elimination so that
@@ -188,7 +193,7 @@ def w1_lp(mu, nu, budget=DEFAULT_PAIR_BUDGET):
             f"budget of {budget}; subsample the measures or raise the budget"
         )
     cost = np.linalg.norm(mu.points[:, None, :] - nu.points[None, :, :], axis=-1)
-    if assignment_applies(mu, nu, budget):
+    if _assignment_applies(mu, nu, budget):
         return _solve_assignment(mu.weights, nu.weights, cost)
     x = _solve_transport_lp(mu.weights, nu.weights, cost)
     polished = _polish_plan(mu.weights, nu.weights, x, cost)
@@ -202,7 +207,7 @@ def w1_lp(mu, nu, budget=DEFAULT_PAIR_BUDGET):
     return total, TransportPlan(i=ii, j=jj, mass=mass, cost=total)
 
 
-def assignment_applies(mu, nu, budget=DEFAULT_PAIR_BUDGET):
+def _assignment_applies(mu, nu, budget):
     """Whether :func:`w1_lp` solves this pair as an assignment problem.
 
     Both weight vectors must be exactly uniform and one size must divide
@@ -321,7 +326,7 @@ def _polish_plan(a, b, x, cost, support_tol=1e-14):
     return ii, jj, flow, total
 
 
-def dual_certificate(mu, nu, plan, max_sweeps=None):
+def dual_certificate(mu, nu, plan):
     """Optimality certificate for a transport plan via LP duality.
 
     Builds a feasible dual (a 1-Lipschitz potential on the support
@@ -337,10 +342,8 @@ def dual_certificate(mu, nu, plan, max_sweeps=None):
     pi_s = np.zeros(n_s)
     pi_t = np.zeros(n_t)
     arc_cost = cost[plan.i, plan.j]
-    if max_sweeps is None:
-        max_sweeps = n_s + n_t + 1
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(n_s + n_t + 1):
         changed = False
         relaxed_t = (pi_s[:, None] + cost).min(axis=0)
         if np.any(relaxed_t < pi_t - 1e-15):
@@ -430,10 +433,24 @@ def _abs_linear_integral(c0, c1, width):
     return 0.5 * (abs(c0) * t_cross + abs(c1) * (width - t_cross))
 
 
-def wasserstein1(mu, nu, budget=DEFAULT_PAIR_BUDGET):
-    """Dispatch: exact 1D sweep when d = 1, :func:`w1_lp` otherwise."""
+_CDF_SWEEP = "exact 1D CDF sweep"
+
+
+def w1_solver(mu, nu, budget=DEFAULT_PAIR_BUDGET):
+    """Name of the solver :func:`wasserstein1` applies to this pair.
+
+    The 1D CDF sweep when d = 1; otherwise the path :func:`w1_lp` takes,
+    ``"assignment"`` or ``"transportation LP"``.
+    """
     _check_same_dim(mu, nu)
     if mu.dim == 1:
+        return _CDF_SWEEP
+    return "assignment" if _assignment_applies(mu, nu, budget) else "transportation LP"
+
+
+def wasserstein1(mu, nu, budget=DEFAULT_PAIR_BUDGET):
+    """Exact W1 distance by the solver :func:`w1_solver` names."""
+    if w1_solver(mu, nu, budget) == _CDF_SWEEP:
         return w1_1d_discrete(mu, nu)
     distance, _ = w1_lp(mu, nu, budget=budget)
     return distance

@@ -145,6 +145,17 @@ class TestDistanceCommand:
         out = capsys.readouterr().out
         assert "(solver: transportation LP)" in out
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nonfinite_mass_exits_2(self, tmp_path, capsys, dim, bad):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_cloud(a, np.zeros((2, dim)), [1.0, float(bad)])
+        write_cloud(b, np.ones((1, dim)), [1.0])
+        assert main(["distance", str(a), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert "W1" not in captured.out
+
     def test_full_precision_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_cloud(a, [[1.0 / 3.0]], [1.0])

@@ -170,7 +170,7 @@ class TestDensityProfile:
         n = 600
         state = ParticleState(rng.random(n) + 0.1, rng.random((n, dim)), np.zeros((n, dim)))
         prof = density_profile(state, kernel, state.positions.copy())
-        rho = compute_density(state, kernel).rho
+        rho = compute_density(state, kernel)
         np.testing.assert_allclose(prof.values, rho, rtol=1e-14)
 
     def test_empty_grid_on_the_cell_path(self, rng):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphwass import Gaussian1D, WendlandCubic2D
 
@@ -162,3 +164,21 @@ def test_kernel_values_nonnegative(rng):
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         WendlandCubic2D(1.0).value(np.zeros((4, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.floats(1e-3, 1e3),
+    cut=st.floats(0.1, 10.0),
+    ulps=st.integers(1, 2**20),
+    scale=st.floats(1.0, 1e6),
+)
+def test_exact_zeros_beyond_the_support(h, cut, ulps, scale):
+    # the pair sums apply no cutoff mask on the cell path: every pair
+    # beyond support_radius must contribute an exact zero by itself
+    for kernel in (WendlandCubic2D(h), Gaussian1D(h, cutoff_radius=cut * h)):
+        edge = kernel.support_radius**2
+        r2 = np.array([np.nextafter(edge, np.inf), edge + ulps * np.spacing(edge), edge * scale])
+        r2 = r2[r2 > edge]
+        assert np.all(kernel.value_from_sq(r2) == 0.0)
+        assert np.all(kernel.grad_scale_from_sq(r2) == 0.0)

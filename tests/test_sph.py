@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sphwass.sph as sph
 from sphwass import (
     EosPolytropic,
     ForceModel,
@@ -27,13 +28,13 @@ def hydro_model(gamma, theta, kappa=1.0):
 class TestDensity:
     def test_single_particle_self_term(self):
         state = ParticleState([1.0], [[0.0]], [[0.0]])
-        rho = compute_density(state, Gaussian1D(1.0)).rho
+        rho = compute_density(state, Gaussian1D(1.0))
         assert rho[0] == pytest.approx(1.0 / np.sqrt(np.pi), rel=1e-15)
 
     def test_two_particles_hand_evaluation(self):
         # oracle: rho(0) = 0.5 * (W(0) + W(1)) with the unit Gaussian
         state = ParticleState([0.5, 0.5], [[0.0], [1.0]], [[0.0], [0.0]])
-        rho = compute_density(state, Gaussian1D(1.0)).rho
+        rho = compute_density(state, Gaussian1D(1.0))
         expected = 0.5 * (1.0 + np.exp(-1.0)) / np.sqrt(np.pi)
         assert expected == pytest.approx(0.3858717, abs=5e-8)
         assert rho[0] == pytest.approx(expected, rel=1e-14)
@@ -42,7 +43,7 @@ class TestDensity:
     def test_self_contribution_lower_bound(self, random_state_factory):
         for dim, kernel in ((1, Gaussian1D(0.7)), (2, WendlandCubic2D(0.7))):
             state = random_state_factory(64, dim)
-            rho = compute_density(state, kernel).rho
+            rho = compute_density(state, kernel)
             assert np.all(rho >= state.masses * kernel.peak_value() - 1e-15)
 
     def test_dimension_mismatch(self, random_state_factory):
@@ -143,7 +144,7 @@ class TestAccelerations:
         rho_oracle = np.array(
             [sum(masses[j] * kernel.value(x[i] - x[j]) for j in range(n)) for i in range(n)]
         )
-        np.testing.assert_allclose(dens.rho, rho_oracle, rtol=1e-12)
+        np.testing.assert_allclose(dens, rho_oracle, rtol=1e-12)
         F = [f_theta(fm.eos, theta, rho_oracle[i]) for i in range(n)]
         expected = np.zeros_like(x)
         for k in range(n):
@@ -231,55 +232,51 @@ class TestPairBlocks:
         assert _grid_cells(x[:0], 0.3) == {}
 
 
-def assert_cell_path_matches_all_pairs(state, kernel, fm):
-    rho_ap = compute_density(state, kernel, method="all-pairs").rho
-    rho_cl = compute_density(state, kernel, method="cell-list").rho
-    np.testing.assert_allclose(rho_cl, rho_ap, rtol=1e-13)
+def assert_cell_path_matches_all_pairs(state, kernel, fm, monkeypatch):
+    # the input picks the path; replacing _use_cells forces one
+    def force_cells(use):
+        monkeypatch.setattr(sph, "_use_cells", lambda kernel, x, interaction: use)
 
-    dens = compute_density(state, kernel, method="all-pairs")
-    a_ap = compute_accelerations(state, dens, fm, kernel, method="all-pairs")
-    a_cl = compute_accelerations(state, dens, fm, kernel, method="cell-list")
+    force_cells(False)
+    rho_ap = compute_density(state, kernel)
+    a_ap = compute_accelerations(state, rho_ap, fm, kernel)
+    force_cells(True)
+    rho_cl = compute_density(state, kernel)
+    a_cl = compute_accelerations(state, rho_ap, fm, kernel)
+    np.testing.assert_allclose(rho_cl, rho_ap, rtol=1e-13)
     scale = np.abs(a_ap).max()
     assert np.abs(a_cl - a_ap).max() <= 1e-13 * scale
 
 
 class TestCellListEquivalence:
     @pytest.mark.parametrize("theta", [0, 1])
-    def test_density_and_accel_paths_agree(self, theta, rng):
+    def test_density_and_accel_paths_agree(self, theta, rng, monkeypatch):
         # scaled-h regime: support covers a few cells only
         n = 512
         masses = normalized(np.ones(n))
         positions = rng.random((n, 2))
         state = ParticleState(masses, positions, np.zeros((n, 2)))
         assert_cell_path_matches_all_pairs(
-            state, WendlandCubic2D(0.05), hydro_model(7.0, theta)
+            state, WendlandCubic2D(0.05), hydro_model(7.0, theta), monkeypatch
         )
 
     @pytest.mark.parametrize("theta", [0, 1])
-    def test_truncated_gaussian_1d_paths_agree(self, theta, rng):
+    def test_truncated_gaussian_1d_paths_agree(self, theta, rng, monkeypatch):
         # the truncation makes W vanish beyond 2h, so cells drop no mass
         n = 300
         masses = normalized(rng.random(n) + 0.1)
         state = ParticleState(masses, rng.random((n, 1)) * 3.0, np.zeros((n, 1)))
         kernel = Gaussian1D(0.05, cutoff_radius=0.1)
-        assert_cell_path_matches_all_pairs(state, kernel, hydro_model(7.0, theta))
+        assert_cell_path_matches_all_pairs(state, kernel, hydro_model(7.0, theta), monkeypatch)
 
     def test_auto_dispatch_uses_cells_for_small_support(self, rng):
         from sphwass.sph import _use_cells
 
         x = rng.random((512, 2))
-        assert _use_cells("auto", WendlandCubic2D(0.05), x, None)
-        assert not _use_cells("auto", WendlandCubic2D(1.0), x, None)
-        assert not _use_cells("auto", Gaussian1D(1.0), x[:, :1], None)
-        assert not _use_cells("auto", WendlandCubic2D(0.05), x, MorseInteraction())
-
-    def test_cell_list_rejects_unbounded_kernel(self, random_state_factory):
-        state = random_state_factory(16, 1)
-        dens = compute_density(state, Gaussian1D(1.0))
-        with pytest.raises(ValueError):
-            compute_accelerations(
-                state, dens, hydro_model(2.0, 1), Gaussian1D(1.0), method="cell-list"
-            )
+        assert _use_cells(WendlandCubic2D(0.05), x, None)
+        assert not _use_cells(WendlandCubic2D(1.0), x, None)
+        assert not _use_cells(Gaussian1D(1.0), x[:, :1], None)
+        assert not _use_cells(WendlandCubic2D(0.05), x, MorseInteraction())
 
 
 class TestSupportDiagnostic:

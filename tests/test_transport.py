@@ -7,13 +7,13 @@ import sphwass.transport as transport
 from sphwass import (
     DiscreteMeasure,
     TransportBudgetError,
-    assignment_applies,
     convergence_rates,
     dual_certificate,
     sup_wasserstein_over_time,
     w1_1d_discrete,
     w1_1d_vs_density,
     w1_lp,
+    w1_solver,
     wasserstein1,
 )
 
@@ -197,6 +197,7 @@ class TestAssignmentDispatch:
             mu, nu = random_measure(rng, n_s, dim=2), random_measure(rng, n_t, dim=2)
         _, plan = w1_lp(mu, nu)
         assert len(linprog_calls) == lp_calls
+        assert w1_solver(mu, nu) == ("transportation LP" if lp_calls else "assignment")
         gap, _ = dual_certificate(mu, nu, plan)
         assert abs(gap) <= 1e-9
 
@@ -221,10 +222,22 @@ class TestAssignmentDispatch:
         # 16 x 64 = 1024 entries fit a budget of 1024, the 64 x 64 copy does not
         mu = DiscreteMeasure(rng.random((16, 2)), np.full(16, 1.0 / 16))
         nu = DiscreteMeasure(rng.random((64, 2)), np.full(64, 1.0 / 64))
-        assert not assignment_applies(mu, nu, budget=1024)
-        assert assignment_applies(mu, nu, budget=4096)
+        assert w1_solver(mu, nu, budget=1024) == "transportation LP"
+        assert w1_solver(mu, nu, budget=4096) == "assignment"
         w1_lp(mu, nu, budget=1024)
         assert len(linprog_calls) == 1
+
+    def test_one_dimension_takes_the_cdf_sweep(self, rng, linprog_calls, monkeypatch):
+        # uniform 4 vs 16 would qualify for the assignment; in 1D the sweep wins
+        def no_assignment(cost):
+            raise AssertionError("assignment in 1D")
+
+        monkeypatch.setattr(transport, "linear_sum_assignment", no_assignment)
+        mu = DiscreteMeasure(rng.random((4, 1)), np.full(4, 0.25))
+        nu = DiscreteMeasure(rng.random((16, 1)), np.full(16, 1.0 / 16))
+        assert w1_solver(mu, nu) == "exact 1D CDF sweep"
+        assert wasserstein1(mu, nu) == w1_1d_discrete(mu, nu)
+        assert not linprog_calls
 
 
 class TestMetricAxioms:
@@ -391,6 +404,12 @@ class TestDiscreteMeasureValidation:
     def test_rejects_nonfinite_points(self):
         with pytest.raises(ValueError):
             DiscreteMeasure([[np.nan]], [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_weights(self, bad):
+        # NaN passes both the sign and the sum check, so it needs its own
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasure([[0.0], [1.0]], [1.0, bad])
 
 
 def test_plan_csv_export(tmp_path, rng):
