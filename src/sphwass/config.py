@@ -99,6 +99,8 @@ def load_config(path):
         raise ConfigError("<file>", f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError("<file>", f"not valid JSON (line {err.lineno}): {err.msg}") from err
+    except ValueError as err:  # an integer literal beyond Python's digit limit
+        raise ConfigError("<file>", f"cannot parse {path}: {err}") from err
     return validate_config(raw)
 
 

@@ -47,6 +47,14 @@ def test_nan_dt_from_json_exits_2(tmp_path, capsys):
     assert "'dt'" in capsys.readouterr().err
 
 
+def test_integer_literal_beyond_the_digit_limit_exits_2(tmp_path, capsys):
+    # json raises a plain ValueError here, not a JSONDecodeError
+    path = tmp_path / "cfg.json"
+    path.write_text('{"family": "expansion_1d", "resolutions": [1, 2], "dt": %s}' % ("1" * 5000))
+    assert main(["run", str(path)]) == 2
+    assert "<file>" in capsys.readouterr().err
+
+
 def test_unhashable_family_rejected():
     with pytest.raises(ConfigError) as err:
         validate_config({"family": ["morse_2d"], "resolutions": [1, 2]})
