@@ -26,8 +26,6 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, load_config, plan_from_config
 from .experiments import (
-    StudyDivergedError,
-    _fmt,
     density_profile,
     emit_report,
     run_convergence_study,
@@ -38,12 +36,14 @@ from .integrator import IntegratorConfig, run
 from .kernels import Gaussian1D, WendlandCubic2D
 from .sph import ParticleState, compute_accelerations, compute_density, momentum
 from .transport import (
+    FLOAT_FMT,
     DiscreteMeasure,
     w1_1d_discrete,
     w1_1d_vs_density,
     w1_lp,
     w1_solver,
     wasserstein1,
+    write_csv,
 )
 
 __all__ = ["main", "run_verification_checks"]
@@ -53,16 +53,16 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
+class UsageError(Exception):
+    """Bad command-line input (arguments or files read); exit code 2."""
+
+
 # ---------------------------------------------------------------------------
 # run
 
 
 def cmd_run(args):
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = load_config(args.config)
     if args.output_dir is not None:
         cfg["output_dir"] = args.output_dir
     plan = plan_from_config(cfg)
@@ -74,21 +74,15 @@ def cmd_run(args):
                 f"note: gamma={plan.gamma} lies outside the assumption coverage "
                 "of the a-priori bounds (rates are still reported)"
             )
-    try:
-        result = run_convergence_study(
-            plan, workers=cfg["workers"], budget=cfg["lp_budget"]
-        )
-        emit_report(result, cfg["output_dir"], config=cfg)
-    except StudyDivergedError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+    result = run_convergence_study(plan, workers=cfg["workers"], budget=cfg["lp_budget"])
+    emit_report(result, cfg["output_dir"], config=cfg)
     if cfg["verbosity"] >= 1:
         table = result.rate_table
         for p in range(len(result.sup_distances)):
             k_lo, k_hi = table.resolutions[p], table.resolutions[p + 1]
-            line = f"W_{k_lo},{k_hi} = {_fmt(result.sup_distances[p])}"
+            line = f"W_{k_lo},{k_hi} = {FLOAT_FMT % result.sup_distances[p]}"
             if p >= 1 and np.isfinite(table.rates[p - 1]):
-                line += f"   C_{k_lo} = {_fmt(table.rates[p - 1])}"
+                line += f"   C_{k_lo} = {FLOAT_FMT % table.rates[p - 1]}"
             print(line)
         print(f"report written to {cfg['output_dir']}")
     return EXIT_OK
@@ -99,48 +93,47 @@ def cmd_run(args):
 
 
 def _read_cloud(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        xcols = [i for i, name in enumerate(header) if name.startswith("x")]
-        try:
+    """The point cloud of a CSV file as a probability measure (masses
+    normalized); a file that cannot be read as one raises UsageError."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = [h.strip() for h in next(reader, [])]
+            if not header:
+                raise ValueError(f"{path}: empty file")
+            if "mass" not in header:
+                raise ValueError(f"{path}: missing 'mass' column")
             mcol = header.index("mass")
-        except ValueError:
-            raise ValueError(f"{path}: missing 'mass' column") from None
-        if not xcols:
-            raise ValueError(f"{path}: no coordinate columns (x0, x1, ...)")
-        pts, wts = [], []
-        for row in reader:
-            if not row:
-                continue
-            pts.append([float(row[i]) for i in xcols])
-            wts.append(float(row[mcol]))
-    weights = np.asarray(wts)
-    total = weights.sum()
-    if not 0 < total < np.inf:  # also false for NaN
-        raise ValueError(f"{path}: masses must have a finite positive total")
-    return DiscreteMeasure(points=np.asarray(pts), weights=weights / total)
+            xcols = [i for i, name in enumerate(header) if name.startswith("x")]
+            if not xcols:
+                raise ValueError(f"{path}: no coordinate columns (x0, x1, ...)")
+            pts, wts = [], []
+            for row in filter(None, reader):
+                try:
+                    pts.append([float(row[i]) for i in xcols])
+                    wts.append(float(row[mcol]))
+                except (IndexError, ValueError):
+                    raise ValueError(
+                        f"{path}, line {reader.line_num}: expected a number in each "
+                        f"column of {','.join(header)}, got {','.join(row)!r}"
+                    ) from None
+        weights = np.asarray(wts)
+        total = weights.sum()
+        if not 0 < total < np.inf:  # also false for NaN
+            raise ValueError(f"{path}: masses must have a finite positive total")
+        return DiscreteMeasure(points=np.asarray(pts), weights=weights / total)
+    except (OSError, ValueError) as err:
+        raise UsageError(err) from None
 
 
 def cmd_distance(args):
-    try:
-        mu = _read_cloud(args.file_a)
-        nu = _read_cloud(args.file_b)
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    mu, nu = _read_cloud(args.file_a), _read_cloud(args.file_b)
     if mu.dim != nu.dim:
-        print(
-            f"error: dimension mismatch: {args.file_a} is {mu.dim}-d, "
-            f"{args.file_b} is {nu.dim}-d",
-            file=sys.stderr,
+        raise UsageError(
+            f"dimension mismatch: {args.file_a} is {mu.dim}-d, {args.file_b} is {nu.dim}-d"
         )
-        return EXIT_USAGE
     dist = wasserstein1(mu, nu)
-    print(f"W1 = {_fmt(dist)}   (solver: {w1_solver(mu, nu)})")
+    print(f"W1 = {FLOAT_FMT % dist}   (solver: {w1_solver(mu, nu)})")
     return EXIT_OK
 
 
@@ -149,47 +142,29 @@ def cmd_distance(args):
 
 
 def cmd_profile(args):
-    try:
-        mu = _read_cloud(args.cloud)
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    mu = _read_cloud(args.cloud)
     try:
         lo, hi, count = args.grid.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
-        if count < 2 or hi <= lo:
+        if count < 2 or not -np.inf < lo < hi < np.inf:
             raise ValueError
     except ValueError:
-        print("error: --grid must be LO:HI:COUNT with HI > LO, COUNT >= 2", file=sys.stderr)
-        return EXIT_USAGE
-    if args.kernel == "gaussian1d":
-        if mu.dim != 1:
-            print("error: gaussian1d expects a 1-d cloud", file=sys.stderr)
-            return EXIT_USAGE
-        kernel = Gaussian1D(args.h)
-    else:
-        if mu.dim != 2:
-            print("error: wendland2d expects a 2-d cloud", file=sys.stderr)
-            return EXIT_USAGE
-        kernel = WendlandCubic2D(args.h)
+        raise UsageError("--grid must be LO:HI:COUNT with finite HI > LO, COUNT >= 2") from None
+    kernel_cls = Gaussian1D if args.kernel == "gaussian1d" else WendlandCubic2D
+    if mu.dim != kernel_cls.dim:
+        raise UsageError(f"{args.kernel} expects a {kernel_cls.dim}-d cloud")
+    try:
+        kernel = kernel_cls(args.h)
+    except ValueError as err:
+        raise UsageError(f"--h: {err}") from None
 
-    axis = np.linspace(lo, hi, count)
-    if mu.dim == 1:
-        grid = axis[:, None]
-    else:
-        gx, gy = np.meshgrid(axis, axis, indexing="ij")
-        grid = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    axes = np.meshgrid(*[np.linspace(lo, hi, count)] * mu.dim, indexing="ij")
+    grid = np.stack([a.ravel() for a in axes], axis=1)
     state = ParticleState(mu.weights, mu.points, np.zeros_like(mu.points))
     prof = density_profile(state, kernel, grid)
-    out = sys.stdout if args.out is None else open(args.out, "w")
-    try:
-        cols = ",".join(f"x{i}" for i in range(mu.dim))
-        out.write(f"{cols},rho\n")
-        for pt, val in zip(grid, prof.values):
-            out.write(",".join(_fmt(v) for v in pt) + f",{_fmt(val)}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    cols = ",".join(f"x{i}" for i in range(mu.dim))
+    out = sys.stdout if args.out is None else args.out
+    write_csv(out, f"{cols},rho", np.column_stack([grid, prof.values]))
     return EXIT_OK
 
 
@@ -310,7 +285,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
+    except (ConfigError, UsageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as err:  # runtime failures map to exit 1

@@ -33,9 +33,11 @@ from .kernels import Gaussian1D, WendlandCubic2D
 from .sph import SupportDiagnostic, check_support, compute_density, support_bound
 from .sph import _density_at
 from .transport import (
+    FLOAT_FMT,
     DiscreteMeasure,
     convergence_rates,
     sup_wasserstein_over_time,
+    write_csv,
 )
 
 __all__ = [
@@ -51,9 +53,11 @@ __all__ = [
 ]
 
 FAMILIES = {
-    "expansion_1d": {"dim": 1, "preset": "uniform_box_1d", "pressure": True},
-    "rotating_square_2d": {"dim": 2, "preset": "rotating_square_2d", "pressure": True},
-    "morse_2d": {"dim": 2, "preset": "morse_cloud_2d", "pressure": False},
+    "expansion_1d": {"kernel": Gaussian1D, "preset": "uniform_box_1d", "pressure": True},
+    "rotating_square_2d": {
+        "kernel": WendlandCubic2D, "preset": "rotating_square_2d", "pressure": True
+    },
+    "morse_2d": {"kernel": WendlandCubic2D, "preset": "morse_cloud_2d", "pressure": False},
 }
 
 
@@ -122,7 +126,10 @@ class ExperimentPlan:
 
     @property
     def dim(self):
-        return FAMILIES[self.family]["dim"]
+        return FAMILIES[self.family]["kernel"].dim
+
+    def kernel(self, h):
+        return FAMILIES[self.family]["kernel"](h)
 
     def particles_at(self, k):
         return (2**k) ** self.dim
@@ -177,7 +184,7 @@ def _single_run(plan, k):
     else:
         state0 = sample_iid(spec, seed=plan.seed + k)
     h = select_h(spec, plan.h_mode, plan.h_value)
-    kernel = Gaussian1D(h) if plan.dim == 1 else WendlandCubic2D(h)
+    kernel = plan.kernel(h)
     fm = plan.force_model()
     cfg = IntegratorConfig(
         dt=plan.dt, t_end=plan.t_end, snapshot_times=plan.snapshot_times()
@@ -188,7 +195,7 @@ def _single_run(plan, k):
         raise StudyDivergedError(plan.family, k, err.step_index) from err
 
     support_ok = support_radii = None
-    if plan.theta == 1 and (fm.eos is None or fm.eos.gamma >= 2.0):
+    if plan.theta == 1 and not plan.outside_assumption_coverage():
         diag = SupportDiagnostic.for_theta1(state0, fm, kernel)
         if diag is not None:
             support_radii = [support_bound(diag, t) for t in traj.times]
@@ -223,16 +230,12 @@ def run_convergence_study(plan, workers=1, budget=None):
 
     times = np.asarray(runs[0].trajectory.times)
     kwargs = {} if budget is None else {"budget": budget}
+    snaps = [
+        list(zip(r.trajectory.times, map(DiscreteMeasure.from_state, r.trajectory.states)))
+        for r in runs
+    ]
     pair_distances, sups, argmaxes = [], [], []
-    for lo, hi in zip(runs, runs[1:]):
-        snaps_lo = [
-            (t, DiscreteMeasure.from_state(s))
-            for t, s in zip(lo.trajectory.times, lo.trajectory.states)
-        ]
-        snaps_hi = [
-            (t, DiscreteMeasure.from_state(s))
-            for t, s in zip(hi.trajectory.times, hi.trajectory.states)
-        ]
+    for snaps_lo, snaps_hi in zip(snaps, snaps[1:]):
         sup, argmax_t, dists = sup_wasserstein_over_time(snaps_lo, snaps_hi, **kwargs)
         pair_distances.append(dists)
         sups.append(sup)
@@ -267,10 +270,6 @@ def density_profile(state, kernel, grid):
     return DensityProfile(grid=grid, values=_density_at(pts, state, kernel))
 
 
-def _fmt(x):
-    return f"{x:.17g}"
-
-
 def emit_report(result, outdir, config=None):
     """Write rate tables, per-time distances, snapshots, and a manifest.
 
@@ -284,50 +283,51 @@ def emit_report(result, outdir, config=None):
     * ``cloud_final_k<k>.csv`` -- ``id,x0..,mass`` point cloud at the
       final snapshot (the format read back by the distance command).
     * ``manifest.json`` -- the resolved configuration, re-runnable as is.
+
+    rho is recomputed here rather than stored with the snapshot: the
+    pressureless family never computes it while integrating.
     """
     os.makedirs(outdir, exist_ok=True)
     plan = result.plan
-    dim = plan.dim
-
-    rows = []
     table = result.rate_table
-    for p, (k_lo, k_hi) in enumerate(zip(table.resolutions, table.resolutions[1:])):
-        rate = ""
-        if p >= 1 and np.isfinite(table.rates[p - 1]):
-            rate = _fmt(table.rates[p - 1])
-        rows.append(
-            f"{plan.family},{k_lo},{plan.particles_at(k_lo)},"
-            f"{_fmt(result.sup_distances[p])},{rate}"
-        )
-    with open(os.path.join(outdir, "rates.csv"), "w") as fh:
-        fh.write("family,k,n,W_k_kplus1,C_rate\n")
-        fh.write("\n".join(rows) + "\n")
+    k_lo, k_hi = table.resolutions[:-1], table.resolutions[1:]
+    rates = [""] + [FLOAT_FMT % r if np.isfinite(r) else "" for r in table.rates]
+    rows = [
+        [plan.family, k, plan.particles_at(k), w, r]
+        for k, w, r in zip(k_lo, result.sup_distances, rates)
+    ]
+    write_csv(
+        os.path.join(outdir, "rates.csv"), "family,k,n,W_k_kplus1,C_rate",
+        np.array(rows, dtype=object), fmt=["%s", "%d", "%d", FLOAT_FMT, "%s"],
+    )
+    nt = len(result.snapshot_times)
+    write_csv(
+        os.path.join(outdir, "distances.csv"), "family,k,k_next,t,W",
+        np.column_stack([
+            np.repeat(k_lo, nt), np.repeat(k_hi, nt),
+            np.tile(result.snapshot_times, len(k_lo)), np.concatenate(result.pair_distances),
+        ]),
+        fmt=plan.family + ",%d,%d," + ",".join([FLOAT_FMT] * 2),
+    )
 
-    with open(os.path.join(outdir, "distances.csv"), "w") as fh:
-        fh.write("family,k,k_next,t,W\n")
-        for p, (k_lo, k_hi) in enumerate(zip(table.resolutions, table.resolutions[1:])):
-            for t, w in zip(result.snapshot_times, result.pair_distances[p]):
-                fh.write(f"{plan.family},{k_lo},{k_hi},{_fmt(t)},{_fmt(w)}\n")
-
+    xcols = ",".join(f"x{i}" for i in range(plan.dim))
+    vcols = xcols.replace("x", "v")
     for rec in result.runs:
-        kernel = Gaussian1D(rec.h) if dim == 1 else WendlandCubic2D(rec.h)
-        snap_path = os.path.join(outdir, f"snapshots_k{rec.k}.csv")
-        xcols = ",".join(f"x{i}" for i in range(dim))
-        vcols = ",".join(f"v{i}" for i in range(dim))
-        with open(snap_path, "w") as fh:
-            fh.write(f"t,id,{xcols},{vcols},rho\n")
-            for t, state in zip(rec.trajectory.times, rec.trajectory.states):
-                rho = compute_density(state, kernel)
-                for pid in range(state.n):
-                    xs = ",".join(_fmt(v) for v in state.positions[pid])
-                    vs = ",".join(_fmt(v) for v in state.velocities[pid])
-                    fh.write(f"{_fmt(t)},{pid},{xs},{vs},{_fmt(rho[pid])}\n")
-        final = rec.trajectory.states[-1]
-        with open(os.path.join(outdir, f"cloud_final_k{rec.k}.csv"), "w") as fh:
-            fh.write(f"id,{xcols},mass\n")
-            for pid in range(final.n):
-                xs = ",".join(_fmt(v) for v in final.positions[pid])
-                fh.write(f"{pid},{xs},{_fmt(final.masses[pid])}\n")
+        kernel = plan.kernel(rec.h)
+        states = rec.trajectory.states
+        write_csv(
+            os.path.join(outdir, f"snapshots_k{rec.k}.csv"), f"t,id,{xcols},{vcols},rho",
+            np.column_stack([
+                np.repeat(rec.trajectory.times, rec.n), np.tile(np.arange(rec.n), len(states)),
+                np.concatenate([s.positions for s in states]),
+                np.concatenate([s.velocities for s in states]),
+                np.concatenate([compute_density(s, kernel) for s in states]),
+            ]),
+        )
+        write_csv(
+            os.path.join(outdir, f"cloud_final_k{rec.k}.csv"), f"id,{xcols},mass",
+            np.column_stack([np.arange(rec.n), states[-1].positions, states[-1].masses]),
+        )
 
     if config is not None:
         with open(os.path.join(outdir, "manifest.json"), "w") as fh:

@@ -15,7 +15,7 @@ resolution scaling ``h = epsilon * V0**(1/d)`` with the per-particle
 volume ``V0 = |box| / n``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,61 +63,65 @@ class Box:
 
 @dataclass(frozen=True)
 class PiecewiseConstantDensity1D:
-    """Normalized piecewise-constant density on an interval."""
+    """Normalized piecewise-constant density: ``values[i]`` on the cell
+    ``[breakpoints[i], breakpoints[i+1]]``, zero outside."""
 
     breakpoints: tuple
     values: tuple
+    _cum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bp = tuple(float(v) for v in self.breakpoints)
-        vals = tuple(float(v) for v in self.values)
-        if len(bp) != len(vals) + 1:
-            raise ValueError("need m+1 breakpoints for m values")
-        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
+        bp = np.asarray(self.breakpoints, dtype=float)
+        vals = np.asarray(self.values, dtype=float)
+        if bp.ndim != 1 or vals.ndim != 1 or len(bp) != len(vals) + 1:
+            raise ValueError("need m+1 breakpoints for m density values")
+        if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(vals))):
+            raise ValueError("breakpoints and density values must be finite")
+        if np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
-        if any(v < 0 for v in vals):
+        if np.any(vals < 0):
             raise ValueError("density values must be nonnegative")
-        total = sum(v * (b2 - b1) for v, b1, b2 in zip(vals, bp, bp[1:]))
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"density must integrate to 1, got {total!r}")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
+        cum = np.concatenate([[0.0], np.cumsum(vals * np.diff(bp))])
+        if abs(cum[-1] - 1.0) > 1e-9:
+            raise ValueError(f"density must integrate to 1, got {cum[-1]!r}")
+        object.__setattr__(self, "breakpoints", tuple(bp.tolist()))
+        object.__setattr__(self, "values", tuple(vals.tolist()))
+        object.__setattr__(self, "_cum", cum)
 
     @classmethod
     def uniform(cls, lo=0.0, hi=1.0):
         return cls(breakpoints=(lo, hi), values=(1.0 / (hi - lo),))
 
+    def _cell(self, x, edges):
+        """Index of the cell whose left ``edges`` entry is the last <= x."""
+        idx = np.searchsorted(edges, x, side="right") - 1
+        return np.clip(idx, 0, len(self.values) - 1)
+
     def pdf(self, x):
         bp = np.asarray(self.breakpoints)
-        vals = np.asarray(self.values)
         x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, len(vals) - 1)
         inside = (x >= bp[0]) & (x <= bp[-1])
-        return np.where(inside, vals[idx], 0.0)
+        return np.where(inside, np.asarray(self.values)[self._cell(x, bp)], 0.0)
+
+    def cdf(self, x):
+        """Distribution function: 0 below the first breakpoint, 1 from the last."""
+        bp = np.asarray(self.breakpoints)
+        x = np.clip(np.asarray(x, dtype=float), bp[0], bp[-1])
+        idx = self._cell(x, bp)
+        return self._cum[idx] + np.asarray(self.values)[idx] * (x - bp[idx])
 
     def integrate(self, a, b):
         """Exact integral of the density over [a, b]."""
-        bp = np.asarray(self.breakpoints)
-        vals = np.asarray(self.values)
-        cum = np.concatenate([[0.0], np.cumsum(vals * np.diff(bp))])
-
-        def cdf(x):
-            x = np.clip(x, bp[0], bp[-1])
-            idx = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, len(vals) - 1)
-            return cum[idx] + vals[idx] * (x - bp[idx])
-
-        return float(cdf(b) - cdf(a))
+        return float(self.cdf(b) - self.cdf(a))
 
     def inverse_cdf(self, u):
         """Quantile function, used for inverse-transform sampling."""
-        bp = np.asarray(self.breakpoints)
         vals = np.asarray(self.values)
-        cum = np.concatenate([[0.0], np.cumsum(vals * np.diff(bp))])
         u = np.asarray(u, dtype=float)
-        idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(vals) - 1)
+        idx = self._cell(u, self._cum)
         with np.errstate(divide="ignore", invalid="ignore"):
-            offs = np.where(vals[idx] > 0, (u - cum[idx]) / vals[idx], 0.0)
-        return bp[idx] + offs
+            offs = np.where(vals[idx] > 0, (u - self._cum[idx]) / vals[idx], 0.0)
+        return np.asarray(self.breakpoints)[idx] + offs
 
 
 @dataclass(frozen=True)
@@ -172,9 +176,7 @@ def equipartition(spec):
         centers = lo + (hi - lo) * ((np.arange(1, side + 1) / side) - 0.5 / side)
         dens = spec.axis_density(ax)
         axis_pts.append(centers)
-        axis_masses.append(
-            np.array([dens.integrate(a, b) for a, b in zip(edges, edges[1:])])
-        )
+        axis_masses.append(np.diff(dens.cdf(edges)))
         axis_pdfs.append(dens.pdf(centers))
     grids = np.meshgrid(*axis_pts, indexing="ij")
     positions = np.stack([g.ravel() for g in grids], axis=1)

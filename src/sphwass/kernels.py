@@ -35,6 +35,12 @@ SQRT_PI = np.sqrt(np.pi)
 _WENDLAND_SHAPE_INTEGRAL = 6.4 * np.pi
 
 
+def _smoothing_length(h):
+    if not 0 < h < np.inf:  # also false for NaN
+        raise ValueError(f"smoothing length must be positive and finite, got h={h}")
+    return float(h)
+
+
 class Gaussian1D:
     """Gaussian smoothing kernel on the real line.
 
@@ -51,11 +57,9 @@ class Gaussian1D:
     dim = 1
 
     def __init__(self, h, cutoff_radius=None):
-        if h <= 0:
-            raise ValueError(f"smoothing length must be positive, got h={h}")
+        self.h = _smoothing_length(h)
         if cutoff_radius is not None and cutoff_radius <= 0:
             raise ValueError("cutoff_radius must be positive when given")
-        self.h = float(h)
         self.cutoff_radius = None if cutoff_radius is None else float(cutoff_radius)
         self.norm_const = 1.0 / (self.h * SQRT_PI)
 
@@ -118,9 +122,7 @@ class WendlandCubic2D:
     dim = 2
 
     def __init__(self, h, norm_const=None):
-        if h <= 0:
-            raise ValueError(f"smoothing length must be positive, got h={h}")
-        self.h = float(h)
+        self.h = _smoothing_length(h)
         if norm_const is None:
             norm_const = 1.0 / (_WENDLAND_SHAPE_INTEGRAL * self.h * self.h)
         self.norm_const = float(norm_const)

@@ -106,8 +106,8 @@ class ParticleState:
             raise ValueError("masses, positions, velocities must share length")
         if self.positions.shape != self.velocities.shape:
             raise ValueError("positions and velocities must share shape")
-        if np.any(self.masses <= 0):
-            raise ValueError("all particle masses must be positive")
+        if not np.all((self.masses > 0) & (self.masses < np.inf)):  # also false for NaN
+            raise ValueError("all particle masses must be positive and finite")
         if not (np.all(np.isfinite(self.positions)) and np.all(np.isfinite(self.velocities))):
             raise ValueError("positions and velocities must be finite")
 

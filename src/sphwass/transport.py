@@ -20,6 +20,8 @@ paths of :func:`w1_lp`.
 * :func:`w1_1d_vs_density` -- exact semi-discrete distance in 1D against
   a piecewise-constant density, by closed-form CDF integration.
 
+:func:`write_csv` is the one CSV row writer of the package.
+
 :func:`dual_certificate` bounds the optimality gap of any feasible plan
 through a 1-Lipschitz potential built by shortest-path relaxation, using
 nothing from the solver's internals.
@@ -30,6 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
+
+from .initial import PiecewiseConstantDensity1D
 
 __all__ = [
     "DiscreteMeasure",
@@ -51,6 +55,10 @@ DEFAULT_PAIR_BUDGET = 2**24
 
 _WEIGHT_TOL = 1e-12
 
+# 17 significant digits read every double back exactly, so rates can be
+# recomputed from the CSV files alone; integral values print as integers.
+FLOAT_FMT = "%.17g"
+
 # Copies per atom beyond which the assignment loses to the LP: the square
 # matrix grows with the ratio while the LP shrinks.  One core of a 2-vCPU
 # Xeon, 2048 target atoms: ratio 16 took 1.8 s against the LP's 7.8 s,
@@ -60,6 +68,15 @@ _MAX_COPIES = 16
 
 class TransportBudgetError(RuntimeError):
     """Problem size exceeds the configured memory budget."""
+
+
+def write_csv(fname, header, rows, fmt=FLOAT_FMT):
+    """Write the 2D array ``rows`` under a ``header`` line, comma separated.
+
+    ``fmt`` is one format for every column, a list with one per column,
+    or a whole-row format (``np.savetxt``'s convention).
+    """
+    np.savetxt(fname, rows, fmt=fmt, delimiter=",", header=header, comments="")
 
 
 @dataclass
@@ -124,10 +141,7 @@ class TransportPlan:
 
     def to_csv(self, path):
         """Write (i, j, mass) triples for audit."""
-        with open(path, "w") as fh:
-            fh.write("i,j,mass\n")
-            for a, b, m in zip(self.i, self.j, self.mass):
-                fh.write(f"{a},{b},{m:.17g}\n")
+        write_csv(path, "i,j,mass", np.column_stack([self.i, self.j, self.mass]))
 
 
 @dataclass
@@ -194,16 +208,16 @@ def w1_lp(mu, nu, budget=DEFAULT_PAIR_BUDGET):
         )
     cost = np.linalg.norm(mu.points[:, None, :] - nu.points[None, :, :], axis=-1)
     if _assignment_applies(mu, nu, budget):
-        return _solve_assignment(mu.weights, nu.weights, cost)
-    x = _solve_transport_lp(mu.weights, nu.weights, cost)
-    polished = _polish_plan(mu.weights, nu.weights, x, cost)
-    if polished is None:
-        # degenerate support (cycle after thresholding): keep raw flows
-        ii, jj = np.nonzero(x > 0)
-        mass = x[ii, jj]
-        total = float(np.sum(mass * cost[ii, jj]))
-        return total, TransportPlan(i=ii, j=jj, mass=mass, cost=total)
-    ii, jj, mass, total = polished
+        ii, jj, mass = _solve_assignment(mu.weights, nu.weights, cost)
+    else:
+        x = _solve_transport_lp(mu.weights, nu.weights, cost)
+        arcs = _polish_plan(mu.weights, nu.weights, x)
+        if arcs is None:
+            # degenerate support (cycle after thresholding): keep raw flows
+            ii, jj = np.nonzero(x > 0)
+            arcs = ii, jj, x[ii, jj]
+        ii, jj, mass = arcs
+    total = float(np.sum(mass * cost[ii, jj]))
     return total, TransportPlan(i=ii, j=jj, mass=mass, cost=total)
 
 
@@ -235,7 +249,8 @@ def _solve_assignment(a, b, cost):
     so that both sides hold n_large atoms of equal mass; an optimal
     permutation of the square cost matrix is then an optimal coupling
     (the assignment polytope's vertices are permutations).  Every arc
-    carries the mass of one atom of the larger measure.
+    carries the mass of one atom of the larger measure.  Returns the arcs
+    ``(i, j, mass)``.
     """
     n_s, n_t = cost.shape
     if n_s <= n_t:
@@ -246,9 +261,7 @@ def _solve_assignment(a, b, cost):
         r, mass = n_s // n_t, a[0]
         ii, cols = linear_sum_assignment(np.repeat(cost, r, axis=1))
         jj = cols // r
-    flow = np.full(len(ii), mass)
-    total = float(np.sum(flow * cost[ii, jj]))
-    return total, TransportPlan(i=ii, j=jj, mass=flow, cost=total)
+    return ii, jj, np.full(len(ii), mass)
 
 
 def _solve_transport_lp(a, b, cost):
@@ -280,13 +293,14 @@ def _solve_transport_lp(a, b, cost):
     return res.x.reshape(n_s, n_t)
 
 
-def _polish_plan(a, b, x, cost, support_tol=1e-14):
+def _polish_plan(a, b, x, support_tol=1e-14):
     """Re-solve the flows on the support forest by leaf elimination.
 
     A vertex of the transportation polytope has forest support, on which
-    the flows are uniquely determined by the marginals.  Returns None if
-    the thresholded support contains a cycle or the recomputation is
-    inconsistent (then the raw solver plan should be used).
+    the flows are uniquely determined by the marginals.  Returns the arcs
+    ``(i, j, mass)``, or None if the thresholded support contains a cycle
+    or the recomputation is inconsistent (then the raw solver plan should
+    be used).
     """
     n_s, n_t = x.shape
     ii, jj = np.nonzero(x > support_tol)
@@ -321,9 +335,7 @@ def _polish_plan(a, b, x, cost, support_tol=1e-14):
             stack.append(other)
     if alive.any() or np.abs(rem).max() > 1e-9 or flow.min() < -1e-9:
         return None
-    flow = np.maximum(flow, 0.0)
-    total = float(np.sum(flow * cost[ii, jj]))
-    return ii, jj, flow, total
+    return ii, jj, np.maximum(flow, 0.0)
 
 
 def dual_certificate(mu, nu, plan):
@@ -373,64 +385,25 @@ def w1_1d_vs_density(mu, breakpoints, values):
 
     Integrates |F_mu - F_rho| in closed form: between consecutive nodes of
     the merged grid F_mu is constant and F_rho is affine, so each piece is
-    a (possibly sign-crossing) trapezoid.
+    a trapezoid, or two triangles where the difference changes sign.
     """
     if mu.dim != 1:
         raise ValueError("w1_1d_vs_density requires a one-dimensional measure")
-    breakpoints = np.asarray(breakpoints, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if breakpoints.ndim != 1 or values.ndim != 1 or len(breakpoints) != len(values) + 1:
-        raise ValueError("need m+1 breakpoints for m density values")
-    if np.any(np.diff(breakpoints) <= 0):
-        raise ValueError("breakpoints must be strictly increasing")
-    if np.any(values < 0):
-        raise ValueError("density values must be nonnegative")
-    total = float(np.sum(values * np.diff(breakpoints)))
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"density must integrate to 1, got {total!r}")
-
-    pts = mu.points[:, 0]
-    order = np.argsort(pts, kind="stable")
-    pts_sorted = pts[order]
-    w_sorted = mu.weights[order]
-
+    rho = PiecewiseConstantDensity1D(breakpoints, values)
+    order = np.argsort(mu.points[:, 0], kind="stable")
+    pts = mu.points[order, 0]
     # merged grid of density breakpoints and atom locations
-    grid = np.unique(np.concatenate([breakpoints, pts_sorted]))
-
-    f_mu = np.cumsum(w_sorted)
-    mu_cdf_left = np.concatenate([[0.0], f_mu])[
-        np.searchsorted(pts_sorted, grid[:-1], side="right")
-    ]
-    rho_cdf_nodes = _pw_const_cdf(grid, breakpoints, values)
-
-    acc = 0.0
-    for seg in range(len(grid) - 1):
-        a, b = grid[seg], grid[seg + 1]
-        c0 = rho_cdf_nodes[seg] - mu_cdf_left[seg]
-        c1 = rho_cdf_nodes[seg + 1] - mu_cdf_left[seg]
-        acc += _abs_linear_integral(c0, c1, b - a)
-    return float(acc)
-
-
-def _pw_const_cdf(xs, breakpoints, values):
-    """CDF of the piecewise-constant density at the points xs."""
-    cum = np.concatenate([[0.0], np.cumsum(values * np.diff(breakpoints))])
-    idx = np.clip(np.searchsorted(breakpoints, xs, side="right") - 1, 0, len(values) - 1)
-    inside = cum[idx] + values[idx] * (xs - breakpoints[idx])
-    below = xs < breakpoints[0]
-    above = xs >= breakpoints[-1]
-    return np.where(below, 0.0, np.where(above, cum[-1], inside))
-
-
-def _abs_linear_integral(c0, c1, width):
-    """Integral of |c0 + (c1 - c0) t/width| over t in [0, width]."""
-    if width <= 0:
-        return 0.0
-    if c0 * c1 >= 0:
-        return 0.5 * abs(c0 + c1) * width
-    # sign change: two triangles
-    t_cross = c0 / (c0 - c1) * width
-    return 0.5 * (abs(c0) * t_cross + abs(c1) * (width - t_cross))
+    grid = np.unique(np.concatenate([rho.breakpoints, pts]))
+    f_mu = np.concatenate([[0.0], np.cumsum(mu.weights[order])])
+    f_mu = f_mu[np.searchsorted(pts, grid[:-1], side="right")]
+    f_rho = rho.cdf(grid)
+    c0, c1 = f_rho[:-1] - f_mu, f_rho[1:] - f_mu
+    a, b = np.abs(c0), np.abs(c1)
+    # twice the mean of |c| over a piece: |c0 + c1| without a sign change,
+    # (c0^2 + c1^2) / (|c0| + |c1|) with one
+    height = a + b
+    np.divide(a * a + b * b, height, out=height, where=c0 * c1 < 0)
+    return float(0.5 * height @ np.diff(grid))
 
 
 _CDF_SWEEP = "exact 1D CDF sweep"

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphwass.cli import main, run_verification_checks
 
@@ -234,3 +240,68 @@ class TestProfileCommand:
             ["profile", str(cloud), "--kernel", "gaussian1d", "--h", "1.0",
              "--grid", "nope"]
         ) == 2
+
+    @pytest.mark.parametrize("h", ["nan", "inf", "0", "-1"])
+    def test_bad_smoothing_length_exits_2(self, tmp_path, capsys, h):
+        # NaN slipped through the h <= 0 check; --h 0 ended as a runtime error
+        cloud = tmp_path / "a.csv"
+        write_cloud(cloud, [[0.0]], [1.0])
+        assert main(
+            ["profile", str(cloud), "--kernel", "gaussian1d", f"--h={h}", "--grid", "0:1:3"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "smoothing length" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("grid", ["nan:1:3", "0:nan:3", "-inf:0:3", "0:inf:3"])
+    def test_nonfinite_grid_exits_2(self, tmp_path, capsys, grid):
+        cloud = tmp_path / "a.csv"
+        write_cloud(cloud, [[0.5, 0.5]], [1.0])
+        assert main(
+            ["profile", str(cloud), "--kernel", "wendland2d", "--h", "1.0", f"--grid={grid}"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert "--grid" in captured.err
+        assert captured.out == ""
+
+
+class TestMalformedCloud:
+    def test_short_row_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_cloud(a, [[0.0], [1.0]], [0.5, 0.5])
+        a.write_text(a.read_text() + "2,0.5\n")
+        write_cloud(b, [[1.0]], [1.0])
+        assert main(["distance", str(a), str(b)]) == 2
+        assert f"{a}, line 4" in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_truncated_or_garbled_rows_exit_2(self, data):
+        dim = data.draw(st.sampled_from([1, 2]), label="dim")
+        n = data.draw(st.integers(1, 5), label="n")
+        row = data.draw(st.integers(1, n), label="row")  # line row + 1 of the file
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+            write_cloud(a, np.linspace(0.0, 1.0, n * dim).reshape(n, dim), np.ones(n))
+            lines = a.read_text().splitlines()
+            fields = lines[row].split(",")  # id, x0.., mass
+            if data.draw(st.booleans(), label="truncate"):
+                # the mass, the last field, is always cut
+                fields = fields[: data.draw(st.integers(1, len(fields) - 1), label="keep")]
+            else:
+                # no digits and no letters of inf/nan: float() cannot read it;
+                # the id (field 0) is never read
+                junk = st.text(alphabet="abcxyz+-._ eE", max_size=4)
+                fields[data.draw(st.integers(1, len(fields) - 1), label="col")] = data.draw(junk)
+            lines[row] = ",".join(fields)
+            a.write_text("\n".join(lines) + "\n")
+            write_cloud(b, np.zeros((1, dim)), [1.0])
+            kernel = "gaussian1d" if dim == 1 else "wendland2d"
+            for argv in (
+                ["distance", str(a), str(b)],
+                ["profile", str(a), "--kernel", kernel, "--h", "1.0", "--grid", "0:1:3"],
+            ):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    assert main(argv) == 2
+                assert f"{a}, line {row + 1}" in err.getvalue()

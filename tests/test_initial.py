@@ -155,6 +155,26 @@ class TestDensity1D:
         with pytest.raises(ValueError):
             PiecewiseConstantDensity1D((0.0, 1.0), (2.0,))
 
+    @pytest.mark.parametrize(
+        "breakpoints, values",
+        [
+            ((0.0, np.nan), (1.0,)),
+            ((np.nan, 1.0), (1.0,)),
+            ((0.0, np.inf), (0.0,)),
+            ((0.0, 0.5, 1.0), (np.nan, 1.0)),
+            ((0.0, 0.5, 1.0), (np.inf, 1.0)),
+        ],
+    )
+    def test_rejects_nonfinite(self, breakpoints, values):
+        with pytest.raises(ValueError, match="finite"):
+            PiecewiseConstantDensity1D(breakpoints, values)
+
+    def test_cdf_matches_integrate(self):
+        dens = PiecewiseConstantDensity1D((0.0, 0.5, 1.0), (1.5, 0.5))
+        xs = np.array([-1.0, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0])
+        np.testing.assert_array_equal(dens.cdf(xs), [dens.integrate(-5.0, x) for x in xs])
+        np.testing.assert_allclose(dens.cdf(xs), [0.0, 0.0, 0.375, 0.75, 0.875, 1.0, 1.0])
+
     def test_integrate_and_inverse_cdf(self):
         dens = PiecewiseConstantDensity1D((0.0, 0.5, 1.0), (1.5, 0.5))
         assert dens.integrate(0.0, 0.5) == pytest.approx(0.75)

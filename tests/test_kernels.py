@@ -34,6 +34,14 @@ def test_gaussian_nonpositive_h_rejected():
         WendlandCubic2D(-0.5)
 
 
+@pytest.mark.parametrize("kernel", [Gaussian1D, WendlandCubic2D])
+@pytest.mark.parametrize("h", [np.nan, np.inf])
+def test_nonfinite_h_rejected(kernel, h):
+    # h <= 0 is False for NaN, so both kernels constructed with h = NaN
+    with pytest.raises(ValueError, match="finite"):
+        kernel(h)
+
+
 def test_wendland_vanishes_at_support_edge():
     k = WendlandCubic2D(1.0)
     assert k.value(np.array([2.0, 0.0])) == 0.0

@@ -318,6 +318,12 @@ class TestParticleStateValidation:
         with pytest.raises(ValueError):
             ParticleState([0.0, 1.0], [[0.0], [1.0]], [[0.0], [0.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_masses(self, bad):
+        # masses <= 0 is False for NaN, and compute_density then returned NaN
+        with pytest.raises(ValueError, match="finite"):
+            ParticleState([bad, 1.0], [[0.0], [1.0]], [[0.0], [0.0]])
+
     def test_rejects_nonfinite_positions(self):
         with pytest.raises(ValueError):
             ParticleState([1.0], [[np.inf]], [[0.0]])

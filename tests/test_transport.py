@@ -128,8 +128,11 @@ def lp_reference(mu, nu):
     """The HiGHS + leaf-elimination distance, bypassing the dispatch."""
     cost = np.linalg.norm(mu.points[:, None, :] - nu.points[None, :, :], axis=-1)
     x = transport._solve_transport_lp(mu.weights, nu.weights, cost)
-    polished = transport._polish_plan(mu.weights, nu.weights, x, cost)
-    return float(np.sum(x * cost)) if polished is None else polished[3]
+    arcs = transport._polish_plan(mu.weights, nu.weights, x)
+    if arcs is None:
+        return float(np.sum(x * cost))
+    ii, jj, mass = arcs
+    return float(np.sum(mass * cost[ii, jj]))
 
 
 @st.composite
@@ -295,6 +298,33 @@ class TestDualCertificate:
         assert gap == np.inf
 
 
+def segment_loop_w1(mu, breakpoints, values):
+    """The semi-discrete distance by a Python loop over the merged grid: the
+    implementation before it was vectorized, kept as an oracle."""
+    order = np.argsort(mu.points[:, 0], kind="stable")
+    pts_sorted = mu.points[order, 0]
+    grid = np.unique(np.concatenate([breakpoints, pts_sorted]))
+    f_mu = np.concatenate([[0.0], np.cumsum(mu.weights[order])])
+    mu_cdf_left = f_mu[np.searchsorted(pts_sorted, grid[:-1], side="right")]
+    cum = np.concatenate([[0.0], np.cumsum(values * np.diff(breakpoints))])
+    idx = np.clip(np.searchsorted(breakpoints, grid, side="right") - 1, 0, len(values) - 1)
+    inside = cum[idx] + values[idx] * (grid - breakpoints[idx])
+    rho_cdf = np.where(
+        grid < breakpoints[0], 0.0, np.where(grid >= breakpoints[-1], cum[-1], inside)
+    )
+    acc = 0.0
+    for seg in range(len(grid) - 1):
+        width = grid[seg + 1] - grid[seg]
+        c0 = rho_cdf[seg] - mu_cdf_left[seg]
+        c1 = rho_cdf[seg + 1] - mu_cdf_left[seg]
+        if c0 * c1 >= 0:
+            acc += 0.5 * abs(c0 + c1) * width
+        else:  # sign change: two triangles
+            t_cross = c0 / (c0 - c1) * width
+            acc += 0.5 * (abs(c0) * t_cross + abs(c1) * (width - t_cross))
+    return acc
+
+
 class TestSemiDiscrete:
     def test_midpoint_construction_exact_quarter_n(self):
         for n in (1, 2, 4, 16, 64):
@@ -327,6 +357,52 @@ class TestSemiDiscrete:
     def test_single_atom_vs_uniform(self):
         mu = DiscreteMeasure([[0.5]], [1.0])
         assert w1_1d_vs_density(mu, [0.0, 1.0], [1.0]) == pytest.approx(0.25, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "breakpoints, values",
+        [([0.0, 1.0], [np.nan]), ([0.0, np.nan], [1.0]), ([0.0, np.inf], [0.0]),
+         ([-np.inf, 0.0], [1.0]), ([0.0, 0.5, 1.0], [np.inf, 1.0])],
+    )
+    def test_rejects_nonfinite_density(self, breakpoints, values):
+        # the NaN density used to come back as a silent NaN distance
+        mu = DiscreteMeasure([[0.5]], [1.0])
+        with pytest.raises(ValueError, match="finite"):
+            w1_1d_vs_density(mu, breakpoints, values)
+
+    @pytest.mark.parametrize(
+        "breakpoints, values",
+        [([0.0, 1.0], [1.0, 1.0]), ([[0.0, 1.0]], [1.0]), ([0.0, 1.0], [[1.0]]),
+         ([1.0, 0.0], [-1.0]), ([0.0, 0.5, 1.0], [-1.0, 3.0])],
+    )
+    def test_rejects_malformed_density(self, breakpoints, values):
+        mu = DiscreteMeasure([[0.5]], [1.0])
+        with pytest.raises(ValueError):
+            w1_1d_vs_density(mu, breakpoints, values)
+
+    def test_rejects_two_dimensional_measure(self):
+        with pytest.raises(ValueError):
+            w1_1d_vs_density(DiscreteMeasure([[0.5, 0.5]], [1.0]), [0.0, 1.0], [1.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_segment_loop(self, data):
+        m = data.draw(st.integers(1, 4), label="cells")
+        n = data.draw(st.integers(1, 8), label="atoms")
+        # a coarse lattice makes atoms tie with each other and with breakpoints
+        lattice = st.integers(-4, 12).map(lambda i: i / 8)
+        widths = data.draw(st.lists(st.integers(1, 4), min_size=m, max_size=m), label="widths")
+        breakpoints = np.concatenate([[0.0], np.cumsum(widths) / 8])
+        mass = np.array(data.draw(
+            st.lists(st.integers(0, 5), min_size=m, max_size=m).filter(any), label="mass"
+        ), dtype=float)
+        values = mass / mass.sum() / np.diff(breakpoints)
+        pts = np.array(data.draw(st.lists(lattice, min_size=n, max_size=n), label="pts"))
+        w = np.array(data.draw(
+            st.lists(st.integers(1, 9), min_size=n, max_size=n), label="w"
+        ), dtype=float)
+        mu = DiscreteMeasure(pts[:, None], w / w.sum())
+        got = w1_1d_vs_density(mu, breakpoints, values)
+        assert got == pytest.approx(segment_loop_w1(mu, breakpoints, values), abs=1e-14)
 
     def test_rejects_unnormalized_density(self):
         mu = DiscreteMeasure([[0.5]], [1.0])
