@@ -49,9 +49,9 @@ print("\nper-particle density: min %.4f  max %.4f" % (rho.min(), rho.max()))
 # a smooth bump of total mass one
 grid = np.linspace(-3.0, 4.0, 29)
 prof = density_profile(state, gauss, grid)
-mass = np.trapezoid(prof.values, grid)
+mass = np.trapezoid(prof, grid)
 print("profile mass by quadrature: %.5f" % mass)
-peak = prof.values.max()
+peak = prof.max()
 bar_scale = 48.0 / peak
-for x, v in zip(grid, prof.values):
+for x, v in zip(grid, prof):
     print("x = %6.2f  rho = %.5f  %s" % (x, v, "#" * int(v * bar_scale)))

@@ -62,7 +62,6 @@ from .transport import (
     wasserstein1,
 )
 from .experiments import (
-    DensityProfile,
     ExperimentPlan,
     StudyDivergedError,
     StudyResult,

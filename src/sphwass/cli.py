@@ -33,7 +33,7 @@ from .experiments import (
 from .forces import EosPolytropic, ForceModel
 from .initial import Box, InitialSpec, equipartition
 from .integrator import IntegratorConfig, run
-from .kernels import Gaussian1D, WendlandCubic2D
+from .kernels import KERNEL_FOR_DIM
 from .sph import ParticleState, compute_accelerations, compute_density, momentum
 from .transport import (
     FLOAT_FMT,
@@ -110,11 +110,13 @@ def _read_cloud(path):
             pts, wts = [], []
             for row in filter(None, reader):
                 try:
+                    if len(row) != len(header):
+                        raise ValueError
                     pts.append([float(row[i]) for i in xcols])
                     wts.append(float(row[mcol]))
-                except (IndexError, ValueError):
+                except ValueError:
                     raise ValueError(
-                        f"{path}, line {reader.line_num}: expected a number in each "
+                        f"{path}, line {reader.line_num}: expected one number in each "
                         f"column of {','.join(header)}, got {','.join(row)!r}"
                     ) from None
         weights = np.asarray(wts)
@@ -150,21 +152,20 @@ def cmd_profile(args):
             raise ValueError
     except ValueError:
         raise UsageError("--grid must be LO:HI:COUNT with finite HI > LO, COUNT >= 2") from None
-    kernel_cls = Gaussian1D if args.kernel == "gaussian1d" else WendlandCubic2D
-    if mu.dim != kernel_cls.dim:
-        raise UsageError(f"{args.kernel} expects a {kernel_cls.dim}-d cloud")
+    if mu.dim not in KERNEL_FOR_DIM:
+        raise UsageError(f"{args.cloud}: no smoothing kernel for {mu.dim}-d points")
     try:
-        kernel = kernel_cls(args.h)
+        kernel = KERNEL_FOR_DIM[mu.dim](args.h)
     except ValueError as err:
         raise UsageError(f"--h: {err}") from None
 
     axes = np.meshgrid(*[np.linspace(lo, hi, count)] * mu.dim, indexing="ij")
     grid = np.stack([a.ravel() for a in axes], axis=1)
     state = ParticleState(mu.weights, mu.points, np.zeros_like(mu.points))
-    prof = density_profile(state, kernel, grid)
+    rho = density_profile(state, kernel, grid)
     cols = ",".join(f"x{i}" for i in range(mu.dim))
     out = sys.stdout if args.out is None else args.out
-    write_csv(out, f"{cols},rho", np.column_stack([grid, prof.values]))
+    write_csv(out, f"{cols},rho", np.column_stack([grid, rho]))
     return EXIT_OK
 
 
@@ -185,7 +186,7 @@ def run_verification_checks(rng_seed=2024):
         masses = rng.random(n) + 0.1
         masses /= masses.sum()
         state = ParticleState(masses, rng.random((n, dim)), rng.standard_normal((n, dim)))
-        kernel = Gaussian1D(1.0) if dim == 1 else WendlandCubic2D(1.0)
+        kernel = KERNEL_FOR_DIM[dim](1.0)
         rho = compute_density(state, kernel)
         accs = {}
         for theta in (0, 1):
@@ -220,7 +221,7 @@ def run_verification_checks(rng_seed=2024):
     masses = _norm(rng.random(n) + 0.5)
     state = ParticleState(masses, rng.random((n, 2)), 0.2 * rng.standard_normal((n, 2)) + 0.3)
     fm = ForceModel(theta=1, eos=EosPolytropic(gamma=7.0))
-    kernel = WendlandCubic2D(1.0)
+    kernel = KERNEL_FOR_DIM[2](1.0)
     p0 = momentum(state)
     traj = run(state, fm, kernel, IntegratorConfig(dt=1e-3, t_end=0.2))
     p1 = momentum(traj.states[-1])
@@ -271,8 +272,7 @@ def build_parser():
     p_ver.set_defaults(func=cmd_verify)
 
     p_prof = sub.add_parser("profile", help="export the kernel density on a grid")
-    p_prof.add_argument("cloud", help="point-cloud CSV (id,x0[,x1],mass)")
-    p_prof.add_argument("--kernel", choices=("gaussian1d", "wendland2d"), required=True)
+    p_prof.add_argument("cloud", help="id,x0[,x1],mass CSV; its dimension picks the kernel")
     p_prof.add_argument("--h", type=float, required=True, help="smoothing length")
     p_prof.add_argument("--grid", required=True, help="LO:HI:COUNT per axis")
     p_prof.add_argument("--out", help="output CSV path (default: stdout)")

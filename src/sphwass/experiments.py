@@ -29,7 +29,7 @@ import numpy as np
 from .forces import EosPolytropic, ForceModel, MorseInteraction
 from .initial import equipartition, preset, sample_iid, select_h
 from .integrator import IntegratorConfig, SimulationDivergedError, run
-from .kernels import Gaussian1D, WendlandCubic2D
+from .kernels import KERNEL_FOR_DIM
 from .sph import SupportDiagnostic, check_support, compute_density, support_bound
 from .sph import _density_at
 from .transport import (
@@ -42,7 +42,6 @@ from .transport import (
 
 __all__ = [
     "ExperimentPlan",
-    "DensityProfile",
     "RunRecord",
     "StudyResult",
     "StudyDivergedError",
@@ -53,11 +52,9 @@ __all__ = [
 ]
 
 FAMILIES = {
-    "expansion_1d": {"kernel": Gaussian1D, "preset": "uniform_box_1d", "pressure": True},
-    "rotating_square_2d": {
-        "kernel": WendlandCubic2D, "preset": "rotating_square_2d", "pressure": True
-    },
-    "morse_2d": {"kernel": WendlandCubic2D, "preset": "morse_cloud_2d", "pressure": False},
+    "expansion_1d": {"dim": 1, "preset": "uniform_box_1d", "pressure": True},
+    "rotating_square_2d": {"dim": 2, "preset": "rotating_square_2d", "pressure": True},
+    "morse_2d": {"dim": 2, "preset": "morse_cloud_2d", "pressure": False},
 }
 
 
@@ -126,10 +123,10 @@ class ExperimentPlan:
 
     @property
     def dim(self):
-        return FAMILIES[self.family]["kernel"].dim
+        return FAMILIES[self.family]["dim"]
 
     def kernel(self, h):
-        return FAMILIES[self.family]["kernel"](h)
+        return KERNEL_FOR_DIM[self.dim](h)
 
     def particles_at(self, k):
         return (2**k) ** self.dim
@@ -253,21 +250,14 @@ def run_convergence_study(plan, workers=1, budget=None):
     )
 
 
-@dataclass
-class DensityProfile:
-    """Regularized density evaluated on a grid of probe points."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-
 def density_profile(state, kernel, grid):
-    """Kernel-regularized density rho(xi) = sum_j m_j W_h(xi - x_j) on a grid."""
+    """Kernel-regularized density rho(xi) = sum_j m_j W_h(xi - x_j) at the
+    (m,) or (m, d) grid points; returns an (m,) array."""
     grid = np.asarray(grid, dtype=float)
     pts = grid[:, None] if grid.ndim == 1 else grid
     if pts.shape[1] != state.dim:
         raise ValueError("grid dimension does not match the state")
-    return DensityProfile(grid=grid, values=_density_at(pts, state, kernel))
+    return _density_at(pts, state, kernel)
 
 
 def emit_report(result, outdir, config=None):

@@ -26,7 +26,7 @@ construction and safe for concurrent reads.
 
 import numpy as np
 
-__all__ = ["Gaussian1D", "WendlandCubic2D"]
+__all__ = ["Gaussian1D", "WendlandCubic2D", "KERNEL_FOR_DIM"]
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -173,6 +173,10 @@ class WendlandCubic2D:
         scale = 0.5 * self.support_radius
         integrand = 2.0 * np.pi * r * self.value_from_sq(r * r)
         return abs(float(wts @ integrand) * scale - 1.0)
+
+
+# The kernel sphwass uses for particles in each dimension.
+KERNEL_FOR_DIM = {1: Gaussian1D, 2: WendlandCubic2D}
 
 
 def _squared_radius(x, dim):

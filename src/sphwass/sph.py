@@ -12,18 +12,21 @@ grad W_h(0) = 0, and the i = k interaction term because K(0) = 0.
 
 Both pair sums run on one engine, :func:`_pair_blocks`, which yields
 squared distances block by block: dense row blocks against every
-particle, or each grid cell against its 3^d neighbor cells.  The input
-alone picks between the two: :func:`_use_cells` takes cells when the
-kernel's support is small against the cloud.  Pairs beyond the support
-need no mask, since both kernels return exact zeros there.  Blocks come
-in a fixed order, so a given state always produces bitwise-identical
-results.  All functions here are pure; :class:`ParticleState` snapshots
-are never mutated.  Importing the module tunes glibc's allocator so that
-the engine's block temporaries are reused (:func:`_keep_freed_blocks`).
+particle, or each strip of width cutoff along x_0 against its neighbor
+strips.  The input alone picks between the two: :func:`_use_cells` takes
+strips when the kernel's support is small against the cloud.  Pairs
+beyond the support need no mask, since both kernels return exact zeros
+there.  Blocks come in a fixed order, so a given state always produces
+bitwise-identical results.  The module keeps state: the blocks of
+:func:`compute_density` wait in one slot for the pressure sum of
+:func:`compute_accelerations` on equal positions, so an evaluation
+computes its squared distances once; the slot is not thread-safe.
+:class:`ParticleState` snapshots are never mutated.  Importing the module
+tunes glibc's allocator so that the engine's block temporaries are reused
+(:func:`_keep_freed_blocks`).
 """
 
 import ctypes
-import itertools
 import sys
 import warnings
 from dataclasses import dataclass
@@ -46,6 +49,10 @@ __all__ = [
 # Row-block size for chunked pairwise evaluation: bounds peak memory at
 # roughly block * n doubles per intermediate matrix.
 _BLOCK = 512
+
+# (positions copy, kernel, cutoff, blocks) of the last compute_density
+_slot = None
+_SLOT_ENTRIES = 2**22  # squared distances the slot may hold: 32 MB
 
 # glibc mallopt parameters
 _M_TRIM_THRESHOLD = -1
@@ -138,7 +145,7 @@ def _pairwise_sq_dists(x_block, x_all, sq_block, sq_all):
 def compute_density(state, kernel):
     """Summation density rho_i = sum_j m_j W_h(x_i - x_j), self-term included.
 
-    Returns an (n,) array.
+    Returns an (n,) array, and leaves the pair blocks in the slot.
     """
     if state.dim != kernel.dim:
         raise ValueError(f"state dimension {state.dim} != kernel dimension {kernel.dim}")
@@ -146,12 +153,20 @@ def compute_density(state, kernel):
 
 
 def _density_at(y, state, kernel):
-    """Regularized density sum_j m_j W_h(y_k - x_j) of ``state`` at points y."""
+    """Regularized density sum_j m_j W_h(y_k - x_j) of ``state`` at points y;
+    the blocks go to the slot if y is the positions and they fit."""
+    global _slot
     x, m = state.positions, state.masses
     cutoff = kernel.support_radius if _use_cells(kernel, x, None) else None
     rho = np.zeros(y.shape[0])
+    kept, size = [], 0
     for rows, cols, r2 in _pair_blocks(y, x, cutoff):
         rho[rows] = kernel.value_from_sq(r2) @ m[cols]
+        size += r2.size
+        if y is x and size <= _SLOT_ENTRIES:
+            kept.append((rows, cols, r2))
+    if y is x:
+        _slot = (x.copy(), kernel, cutoff, kept) if size <= _SLOT_ENTRIES else None
     return rho
 
 
@@ -159,18 +174,22 @@ def compute_accelerations(state, rho, fm, kernel, include_drag=True):
     """Per-particle accelerations of the theta-parameterized scheme.
 
     ``rho`` must come from :func:`compute_density` on the same state;
-    it is not read (and may be None) when ``fm.eos`` is None.
+    it is not read (and may be None) when ``fm.eos`` is None.  The pressure
+    sum takes the slot's blocks if they match, and empties the slot.
     ``include_drag=False`` omits the -eta(x) v term (the integrator folds
     drag into its half-kicks instead).  Returns an (n, d) array.
     """
+    global _slot
     x, v, m = state.positions, state.velocities, state.masses
-
+    cutoff = kernel.support_radius if _use_cells(kernel, x, fm.interaction) else None
+    blocks, F = _pair_blocks(x, x, cutoff), None
     if fm.eos is not None:
         F = np.asarray(f_theta(fm.eos, fm.theta, rho), dtype=float)
-    else:
-        F = None
+        slot, _slot = _slot, None
+        if slot and slot[1] is kernel and slot[2] == cutoff and np.array_equal(slot[0], x):
+            blocks = slot[3]
 
-    acc = _pair_accel(x, m, F, fm.theta, kernel, fm.interaction)
+    acc = _pair_accel(blocks, x, m, F, fm.theta, kernel, fm.interaction)
 
     acc -= fm.grad_v(x)
     if include_drag:
@@ -178,15 +197,14 @@ def compute_accelerations(state, rho, fm, kernel, include_drag=True):
     return acc
 
 
-def _pair_accel(x, m, F, theta, kernel, interaction):
-    """Pressure and interaction pair sums.
+def _pair_accel(blocks, x, m, F, theta, kernel, interaction):
+    """Pressure and interaction pair sums over ``blocks`` of ``x`` against itself.
 
     Within a block the pair sum  -sum_i w_ki (x_k - x_i)  is folded into
     two matrix products: (w @ x) - x_k * rowsum(w).
     """
-    cutoff = kernel.support_radius if _use_cells(kernel, x, interaction) else None
     acc = np.zeros_like(x)
-    for rows, cols, r2 in _pair_blocks(x, x, cutoff):
+    for rows, cols, r2 in blocks:
         xr, xc, mc = x[rows], x[cols], m[cols]
         if F is not None:
             g = kernel.grad_scale_from_sq(r2)
@@ -222,9 +240,10 @@ def _pair_blocks(y, x, cutoff=None):
     ``y[rows]`` to the sources ``x[cols]``, each target in exactly one block.
 
     Without a cutoff the blocks are ``_BLOCK`` targets against all sources.
-    With one, targets and sources are binned into cells of side ``cutoff``
-    and each target cell meets the sources of its 3^d adjacent cells, pairs
-    beyond the cutoff included.
+    With one, the sources are sorted stably by their strip floor(x_0 / cutoff)
+    and the targets of strip s meet strips s-1..s+1, one contiguous range of
+    that order, pairs beyond the cutoff included: the index-sort neighbor
+    search of Ihmsen et al. (Eurographics STAR 2014) along one axis.
     """
     sq_x = np.einsum("id,id->i", x, x)
     sq_y = sq_x if y is x else np.einsum("id,id->i", y, y)
@@ -233,37 +252,25 @@ def _pair_blocks(y, x, cutoff=None):
             rows = slice(s, s + _BLOCK)
             yield rows, slice(None), _pairwise_sq_dists(y[rows], x, sq_y[rows], sq_x)
         return
-    sources = _grid_cells(x, cutoff)
-    targets = sources if y is x else _grid_cells(y, cutoff)
-    offsets = list(itertools.product((-1, 0, 1), repeat=x.shape[1]))
-    empty = np.empty(0, dtype=np.intp)
-    for key, rows in targets.items():
-        cols = np.concatenate([sources.get(tuple(np.add(key, o)), empty) for o in offsets])
+    strip_x, strip_y = np.floor(x[:, 0] / cutoff), np.floor(y[:, 0] / cutoff)
+    sources, targets = np.argsort(strip_x, kind="stable"), np.argsort(strip_y, kind="stable")
+    strip_x, strip_y = strip_x[sources], strip_y[targets]
+    for s in np.unique(strip_y):
+        rows = targets[np.searchsorted(strip_y, s):np.searchsorted(strip_y, s, "right")]
+        cols = sources[np.searchsorted(strip_x, s - 1.0):np.searchsorted(strip_x, s + 1.0, "right")]
         yield rows, cols, _pairwise_sq_dists(y[rows], x[cols], sq_y[rows], sq_x[cols])
 
 
-def _grid_cells(x, cutoff):
-    """Map integer cell coordinates to ascending particle index arrays."""
-    if x.shape[0] == 0:
-        return {}
-    keys = np.floor(x / cutoff).astype(np.int64)
-    order = np.lexsort(keys.T[::-1])  # stable: equal keys keep index order
-    keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
-    return dict(zip(map(tuple, keys[starts].tolist()), np.split(order, starts[1:])))
-
-
 def _use_cells(kernel, x, interaction):
-    """Whether the pair sums over the sources ``x`` run on cell lists.
+    """Whether the pair sums over the sources ``x`` run on strips.
 
     Cells need a compact kernel and no interaction, whose support is
     unbounded.
     """
     if interaction is not None or not np.isfinite(kernel.support_radius):
         return False
-    extent = (x.max(axis=0) - x.min(axis=0)).max() if x.size else 0.0
     # cells only pay off once several cells span the cloud
-    return x.shape[0] >= 256 and extent > 4.0 * kernel.support_radius
+    return x.shape[0] >= 256 and np.ptp(x, axis=0).max() > 4.0 * kernel.support_radius
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ class TestProfileCommand:
         write_cloud(cloud, [[0.0]], [1.0])
         out_file = tmp_path / "prof.csv"
         code = main(
-            ["profile", str(cloud), "--kernel", "gaussian1d", "--h", "1.0",
+            ["profile", str(cloud), "--h", "1.0",
              "--grid", "0:1:3", "--out", str(out_file)]
         )
         assert code == 0
@@ -226,7 +226,7 @@ class TestProfileCommand:
         cloud = tmp_path / "a.csv"
         write_cloud(cloud, [[0.5, 0.5]], [1.0])
         assert main(
-            ["profile", str(cloud), "--kernel", "wendland2d", "--h", "1.0",
+            ["profile", str(cloud), "--h", "1.0",
              "--grid", "0:1:5"]
         ) == 0
         rows = capsys.readouterr().out.splitlines()
@@ -237,7 +237,7 @@ class TestProfileCommand:
         cloud = tmp_path / "a.csv"
         write_cloud(cloud, [[0.0]], [1.0])
         assert main(
-            ["profile", str(cloud), "--kernel", "gaussian1d", "--h", "1.0",
+            ["profile", str(cloud), "--h", "1.0",
              "--grid", "nope"]
         ) == 2
 
@@ -247,10 +247,18 @@ class TestProfileCommand:
         cloud = tmp_path / "a.csv"
         write_cloud(cloud, [[0.0]], [1.0])
         assert main(
-            ["profile", str(cloud), "--kernel", "gaussian1d", f"--h={h}", "--grid", "0:1:3"]
+            ["profile", str(cloud), f"--h={h}", "--grid", "0:1:3"]
         ) == 2
         captured = capsys.readouterr()
         assert "smoothing length" in captured.err
+        assert captured.out == ""
+
+    def test_cloud_dimension_without_a_kernel_exits_2(self, tmp_path, capsys):
+        cloud = tmp_path / "a.csv"
+        write_cloud(cloud, [[0.5, 0.5, 0.5]], [1.0])
+        assert main(["profile", str(cloud), "--h", "1.0", "--grid", "0:1:3"]) == 2
+        captured = capsys.readouterr()
+        assert "3-d" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("grid", ["nan:1:3", "0:nan:3", "-inf:0:3", "0:inf:3"])
@@ -258,7 +266,7 @@ class TestProfileCommand:
         cloud = tmp_path / "a.csv"
         write_cloud(cloud, [[0.5, 0.5]], [1.0])
         assert main(
-            ["profile", str(cloud), "--kernel", "wendland2d", "--h", "1.0", f"--grid={grid}"]
+            ["profile", str(cloud), "--h", "1.0", f"--grid={grid}"]
         ) == 2
         captured = capsys.readouterr()
         assert "--grid" in captured.err
@@ -273,6 +281,18 @@ class TestMalformedCloud:
         write_cloud(b, [[1.0]], [1.0])
         assert main(["distance", str(a), str(b)]) == 2
         assert f"{a}, line 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [",oops", ",1", ","])
+    def test_long_row_exits_2_naming_file_and_line(self, tmp_path, capsys, extra):
+        # "0,0.25,1,oops" under "id,x0,mass" was read as x0 = 0.25, mass 1
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("id,x0,mass\n0,0.25,1" + extra + "\n")
+        write_cloud(b, [[0.0]], [1.0])
+        for argv in (["distance", str(a), str(b)], ["profile", str(a), "--h", "1", "--grid", "0:1:3"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert f"{a}, line 2" in captured.err
+            assert captured.out == ""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -296,10 +316,9 @@ class TestMalformedCloud:
             lines[row] = ",".join(fields)
             a.write_text("\n".join(lines) + "\n")
             write_cloud(b, np.zeros((1, dim)), [1.0])
-            kernel = "gaussian1d" if dim == 1 else "wendland2d"
             for argv in (
                 ["distance", str(a), str(b)],
-                ["profile", str(a), "--kernel", kernel, "--h", "1.0", "--grid", "0:1:3"],
+                ["profile", str(a), "--h", "1.0", "--grid", "0:1:3"],
             ):
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err):

@@ -132,7 +132,7 @@ class TestDensityProfile:
 
         state = ParticleState([1.0], [[0.0]], [[0.0]])
         prof = density_profile(state, Gaussian1D(1.0), np.array([0.0]))
-        assert prof.values[0] == pytest.approx(1.0 / np.sqrt(np.pi), rel=1e-14)
+        assert prof[0] == pytest.approx(1.0 / np.sqrt(np.pi), rel=1e-14)
 
     def test_golden_equipartition_profile(self):
         # frozen from the first verified build; the plateau sits near
@@ -151,13 +151,13 @@ class TestDensityProfile:
                 0.076310676624894824,
             ]
         )
-        np.testing.assert_allclose(prof.values, golden, rtol=1e-12)
+        np.testing.assert_allclose(prof, golden, rtol=1e-12)
 
     def test_total_mass_recovered_by_quadrature(self):
         state = equipartition(InitialSpec(n=128))
         grid = np.linspace(-8.0, 9.0, 4001)
         prof = density_profile(state, Gaussian1D(1.0), grid)
-        assert np.trapezoid(prof.values, grid) == pytest.approx(1.0, abs=1e-3)
+        assert np.trapezoid(prof, grid) == pytest.approx(1.0, abs=1e-3)
 
     @pytest.mark.parametrize(
         "dim,kernel",
@@ -171,7 +171,7 @@ class TestDensityProfile:
         state = ParticleState(rng.random(n) + 0.1, rng.random((n, dim)), np.zeros((n, dim)))
         prof = density_profile(state, kernel, state.positions.copy())
         rho = compute_density(state, kernel)
-        np.testing.assert_allclose(prof.values, rho, rtol=1e-14)
+        np.testing.assert_allclose(prof, rho, rtol=1e-14)
 
     def test_empty_grid_on_the_cell_path(self, rng):
         from sphwass import ParticleState
@@ -179,7 +179,7 @@ class TestDensityProfile:
         n = 600
         state = ParticleState(np.full(n, 1.0 / n), rng.random((n, 2)), np.zeros((n, 2)))
         prof = density_profile(state, WendlandCubic2D(0.05), np.zeros((0, 2)))
-        assert prof.values.shape == (0,)
+        assert prof.shape == (0,)
 
     def test_grid_dimension_checked(self):
         state = equipartition(InitialSpec(n=4, dim=2))

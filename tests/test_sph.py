@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sphwass.sph as sph
 from sphwass import (
@@ -193,19 +195,28 @@ class TestConservedQuantities:
 
 class TestPairBlocks:
     def test_cells_cover_every_pair_within_cutoff(self, rng):
+        # the sources against themselves and against other targets (a grid
+        # reaching past the cloud, scattered points), in one to three
+        # dimensions: each target in exactly one block, no source twice in
+        # a block, and every pair within the cutoff found
         from sphwass.sph import _pair_blocks
 
-        x = rng.random((200, 2)) * 3.0
         cutoff = 0.4
-        found, targets = set(), []
-        for rows, cols, r2 in _pair_blocks(x, x, cutoff):
-            rows = np.arange(len(x))[rows]
-            targets.extend(rows)
-            i, j = np.nonzero(r2 <= cutoff * cutoff)
-            found.update(zip(rows[i], cols[j]))
-        assert sorted(targets) == list(range(len(x)))
-        d = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)
-        assert found == set(zip(*np.nonzero(d <= cutoff)))
+        for dim in (1, 2, 3):
+            x = rng.random((200, dim)) * 3.0
+            axes = np.meshgrid(*[np.linspace(-1.0, 4.0, 11)] * dim, indexing="ij")
+            grid = np.stack([a.ravel() for a in axes], axis=1)
+            for y in (x, grid, rng.random((50, dim)) * 5.0 - 1.0):
+                found, targets = set(), []
+                for rows, cols, r2 in _pair_blocks(y, x, cutoff):
+                    rows = np.arange(len(y))[rows]
+                    targets.extend(rows)
+                    assert len(np.unique(cols)) == len(cols)
+                    i, j = np.nonzero(r2 <= cutoff * cutoff)
+                    found.update(zip(rows[i], cols[j]))
+                assert sorted(targets) == list(range(len(y)))
+                d = np.linalg.norm(y[:, None, :] - x[None, :, :], axis=-1)
+                assert found == set(zip(*np.nonzero(d <= cutoff)))
 
     def test_dense_blocks_tile_the_pair_matrix(self, rng):
         from sphwass.sph import _BLOCK, _pair_blocks
@@ -216,20 +227,99 @@ class TestPairBlocks:
             r2, ((y[:, None, :] - x[None, :, :]) ** 2).sum(-1), atol=1e-15
         )
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_grid_cells_match_per_particle_binning(self, rng, dim):
-        # the cell path's summation order follows the cells' index order,
-        # so the binning must equal a sweep over the particles exactly
-        from sphwass.sph import _grid_cells
 
-        x = rng.standard_normal((300, dim))
-        expected = {}
-        for i, key in enumerate(map(tuple, np.floor(x / 0.3).astype(np.int64))):
-            expected.setdefault(key, []).append(i)
-        cells = _grid_cells(x, 0.3)
-        assert {key: members.tolist() for key, members in cells.items()} == expected
-        assert all(members.dtype == np.intp for members in cells.values())
-        assert _grid_cells(x[:0], 0.3) == {}
+class _Untouchable:
+    """Stands in for the slot; any read of it fails."""
+
+    def __getitem__(self, i):
+        raise AssertionError("the slot was read")
+
+
+class TestBlockSlot:
+    """compute_density keeps its blocks for the pressure sum of
+    compute_accelerations on the same positions, kernel and cutoff."""
+
+    @pytest.fixture(params=[1.0, 0.05], ids=["dense", "cells"])
+    def setup(self, request, rng):
+        n = 300
+        state = ParticleState(normalized(rng.random(n) + 0.1), rng.random((n, 2)),
+                              np.zeros((n, 2)))
+        kernel = WendlandCubic2D(request.param)
+        assert sph._use_cells(kernel, state.positions, None) == (request.param == 0.05)
+        return state, kernel, hydro_model(7.0, 1)
+
+    @staticmethod
+    def count_block_passes(monkeypatch):
+        calls = []
+        engine = sph._pair_blocks
+
+        def counted(y, x, cutoff=None):  # counts the passes that start
+            calls.append(cutoff)
+            yield from engine(y, x, cutoff)
+
+        monkeypatch.setattr(sph, "_pair_blocks", counted)
+        return calls
+
+    def test_pressure_sum_reuses_and_releases_the_blocks(self, setup, monkeypatch):
+        state, kernel, fm = setup
+        calls = self.count_block_passes(monkeypatch)
+        rho = compute_density(state, kernel)
+        assert sph._slot is not None
+        acc = compute_accelerations(state, rho, fm, kernel)
+        assert len(calls) == 1
+        assert sph._slot is None
+        # the same evaluation with fresh blocks is bitwise identical
+        np.testing.assert_array_equal(acc, compute_accelerations(state, rho, fm, kernel))
+        assert len(calls) == 2
+
+    def test_positions_moved_in_place_get_fresh_blocks(self, setup):
+        state, kernel, fm = setup
+        rho = compute_density(state, kernel)
+        state.positions[::7] += 0.01
+        acc = compute_accelerations(state, rho, fm, kernel)
+        assert sph._slot is None
+        np.testing.assert_array_equal(acc, compute_accelerations(state, rho, fm, kernel))
+
+    def test_another_kernel_object_recomputes_the_blocks(self, setup, monkeypatch):
+        state, kernel, fm = setup
+        calls = self.count_block_passes(monkeypatch)
+        rho = compute_density(state, kernel)
+        compute_accelerations(state, rho, fm, WendlandCubic2D(kernel.h))
+        assert len(calls) == 2
+        assert sph._slot is None
+
+    def test_interaction_cutoff_recomputes_the_blocks(self, setup):
+        # the density may run on cells while the Morse sum needs all pairs
+        state, kernel, _ = setup
+        fm = ForceModel(theta=1, eos=EosPolytropic(gamma=7.0), interaction=MorseInteraction())
+        rho = compute_density(state, kernel)
+        acc = compute_accelerations(state, rho, fm, kernel)
+        np.testing.assert_array_equal(acc, compute_accelerations(state, rho, fm, kernel))
+
+    def test_blocks_beyond_the_slot_size_are_not_kept(self, setup, monkeypatch):
+        state, kernel, fm = setup
+        monkeypatch.setattr(sph, "_SLOT_ENTRIES", state.n)
+        rho = compute_density(state, kernel)
+        assert sph._slot is None
+        acc = compute_accelerations(state, rho, fm, kernel)
+        monkeypatch.undo()
+        rho = compute_density(state, kernel)
+        np.testing.assert_array_equal(acc, compute_accelerations(state, rho, fm, kernel))
+
+    def test_morse_run_never_reads_or_writes_the_slot(self, rng, monkeypatch):
+        from sphwass import IntegratorConfig, run
+
+        untouchable = _Untouchable()
+        monkeypatch.setattr(sph, "_slot", untouchable)
+        n = 300
+        state = ParticleState(normalized(np.ones(n)), rng.random((n, 2)), np.zeros((n, 2)))
+        fm = ForceModel(theta=1, eos=None, eta=1.0, interaction=MorseInteraction())
+        run(state, fm, WendlandCubic2D(0.05), IntegratorConfig(dt=1e-3, t_end=3e-3))
+        assert sph._slot is untouchable
+
+
+def direct_sq_dists(y, x, *_):
+    return ((y[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
 
 
 def assert_cell_path_matches_all_pairs(state, kernel, fm, monkeypatch):
@@ -268,6 +358,46 @@ class TestCellListEquivalence:
         state = ParticleState(masses, rng.random((n, 1)) * 3.0, np.zeros((n, 1)))
         kernel = Gaussian1D(0.05, cutoff_radius=0.1)
         assert_cell_path_matches_all_pairs(state, kernel, hydro_model(7.0, theta), monkeypatch)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        n=st.integers(1, 400),
+        h=st.floats(0.005, 0.5),
+        extent=st.floats(0.1, 4.0),
+        theta=st.sampled_from([0, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_paths_agree_on_random_clouds(self, dim, n, h, extent, theta, seed):
+        # r2 = |y|^2 + |x|^2 - 2 y.x rounds with the BLAS kernel that the
+        # block's shape selects, by up to about eps |x|^2 on either path, and
+        # W moves by that over h^2: the paths differ by up to 1e-11 in rho
+        # for |x|/h near 200.  Direct differences round the same in any
+        # block, so only the blocks and the summation order are compared.
+        from sphwass.forces import f_theta
+
+        rng = np.random.default_rng(seed)
+        masses = normalized(rng.random(n) + 0.1)
+        x = extent * (rng.random((n, dim)) - 0.3)  # strips on both sides of 0
+        state = ParticleState(masses, x, np.zeros((n, dim)))
+        kernel = WendlandCubic2D(h) if dim == 2 else Gaussian1D(h, cutoff_radius=2.0 * h)
+        fm = hydro_model(7.0, theta)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(sph, "_pairwise_sq_dists", direct_sq_dists)
+            rho, acc = {}, {}
+            for cells in (False, True):
+                monkeypatch.setattr(sph, "_use_cells", lambda kernel, x, interaction: cells)
+                rho[cells] = compute_density(state, kernel)
+                acc[cells] = compute_accelerations(state, rho[False], fm, kernel)
+        np.testing.assert_allclose(rho[True], rho[False], rtol=1e-13)
+        # each acceleration folds its pair sum into sum_i w_ki x_i - x_k sum_i w_ki,
+        # so its rounding scales with those two terms, not with their difference
+        F = f_theta(fm.eos, theta, rho[False])
+        g = kernel.grad_scale_from_sq(direct_sq_dists(x, x))
+        w = np.abs(masses[None, :] * (F[:, None] + theta * F[None, :]) * g)
+        size = np.abs(x).max(axis=1)
+        folded = (w @ size + w.sum(axis=1) * size).max()
+        assert np.abs(acc[True] - acc[False]).max() <= 1e-13 * folded
 
     def test_auto_dispatch_uses_cells_for_small_support(self, rng):
         from sphwass.sph import _use_cells
