@@ -9,7 +9,7 @@ The scheme switch matters: theta = 1 (symmetrized pairwise pressure) and
 theta = 0 (direct pressure-gradient discretization) produce the same
 trajectories when gamma = 2 and genuinely different ones otherwise.
 
-Run:  python demos/02_expansion_1d_convergence.py      (about a minute)
+Run:  python demos/02_expansion_1d_convergence.py      (a few seconds)
 """
 
 from sphwass import ExperimentPlan, run_convergence_study

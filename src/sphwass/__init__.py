@@ -34,7 +34,6 @@ from .integrator import (
     SimulationDivergedError,
     Trajectory,
     run,
-    step,
 )
 from .kernels import Gaussian1D, WendlandCubic2D
 from .sph import (

@@ -48,27 +48,6 @@ class ConfigError(ValueError):
         super().__init__(f"config field {field!r}: {message}")
 
 
-_TOP_KEYS = {
-    "family",
-    "gamma",
-    "kappa",
-    "theta",
-    "h_mode",
-    "resolutions",
-    "dt",
-    "t_end",
-    "n_snapshots",
-    "eta",
-    "morse",
-    "init",
-    "output_dir",
-    "workers",
-    "seed",
-    "verbosity",
-    "lp_budget",
-    "meta",
-}
-
 _DEFAULTS = {
     "gamma": 2.0,
     "kappa": 1.0,
@@ -86,6 +65,8 @@ _DEFAULTS = {
     "lp_budget": None,
     "meta": {},
 }
+
+_TOP_KEYS = {"family", "resolutions", "morse", *_DEFAULTS}
 
 _MORSE_KEYS = {"c_a", "c_r", "l_a", "l_r", "r_cut"}
 

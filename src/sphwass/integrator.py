@@ -18,14 +18,13 @@ contractive for every dt * eta.  With eta = 0 the scheme is the plain
 symplectic leapfrog.
 """
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .sph import ParticleState, compute_accelerations, compute_density
 
-__all__ = ["IntegratorConfig", "Trajectory", "SimulationDivergedError", "step", "run"]
+__all__ = ["IntegratorConfig", "Trajectory", "SimulationDivergedError", "run"]
 
 
 class SimulationDivergedError(RuntimeError):
@@ -110,13 +109,6 @@ def _kick_drift_kick(probe, a, fm, kernel, dt, k):
         raise SimulationDivergedError(k)
     probe.velocities = v
     return a
-
-
-def step(state, fm, kernel, dt):
-    """One kick-drift-kick step; returns a new state at time t + dt."""
-    probe = copy.copy(state)
-    _kick_drift_kick(probe, _nodrag_accel(state, fm, kernel), fm, kernel, dt, 1)
-    return ParticleState(state.masses, probe.positions, probe.velocities, state.time + dt)
 
 
 def run(state0, fm, kernel, cfg):

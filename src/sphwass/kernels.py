@@ -41,55 +41,44 @@ def _smoothing_length(h):
     return float(h)
 
 
-class Gaussian1D:
-    """Gaussian smoothing kernel on the real line.
-
-    Parameters
-    ----------
-    h : float
-        Smoothing length, must be positive.
-    cutoff_radius : float, optional
-        If given, the kernel is truncated to zero beyond this radius.
-        Off by default: the analysis assumes full support, and the
-        truncated kernel no longer integrates exactly to one.
-    """
-
-    dim = 1
-
-    def __init__(self, h, cutoff_radius=None):
-        self.h = _smoothing_length(h)
-        if cutoff_radius is not None and cutoff_radius <= 0:
-            raise ValueError("cutoff_radius must be positive when given")
-        self.cutoff_radius = None if cutoff_radius is None else float(cutoff_radius)
-        self.norm_const = 1.0 / (self.h * SQRT_PI)
-
-    @property
-    def support_radius(self):
-        """Radius beyond which the kernel vanishes (inf if untruncated)."""
-        return np.inf if self.cutoff_radius is None else self.cutoff_radius
-
-    def value_from_sq(self, r2):
-        """Kernel value as a function of squared distance."""
-        r2 = np.asarray(r2, dtype=float)
-        w = self.norm_const * np.exp(-r2 / (self.h * self.h))
-        if self.cutoff_radius is not None:
-            w = np.where(r2 <= self.cutoff_radius**2, w, 0.0)
-        return w
-
-    def grad_scale_from_sq(self, r2):
-        """Scalar g(r^2) such that grad W(x) = g(|x|^2) * x."""
-        return -2.0 * self.value_from_sq(r2) / (self.h * self.h)
+class _Radial:
+    """Point evaluation shared by both kernels, from their functions of r^2."""
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        r2 = _squared_radius(x, self.dim)
-        return self.value_from_sq(r2)
+        return self.value_from_sq(_squared_radius(x, self.dim))
 
     def gradient(self, x):
         x = np.asarray(x, dtype=float)
         r2 = _squared_radius(x, self.dim)
         g = self.grad_scale_from_sq(r2)
         return g * x if x.shape == r2.shape else g[..., None] * x
+
+
+class Gaussian1D(_Radial):
+    """Gaussian smoothing kernel on the real line, with full support.
+
+    Parameters
+    ----------
+    h : float
+        Smoothing length, must be positive.
+    """
+
+    dim = 1
+    support_radius = np.inf
+
+    def __init__(self, h):
+        self.h = _smoothing_length(h)
+        self.norm_const = 1.0 / (self.h * SQRT_PI)
+
+    def value_from_sq(self, r2):
+        """Kernel value as a function of squared distance."""
+        r2 = np.asarray(r2, dtype=float)
+        return self.norm_const * np.exp(-r2 / (self.h * self.h))
+
+    def grad_scale_from_sq(self, r2):
+        """Scalar g(r^2) such that grad W(x) = g(|x|^2) * x."""
+        return -2.0 * self.value_from_sq(r2) / (self.h * self.h)
 
     def peak_value(self):
         """sup W = W(0)."""
@@ -107,7 +96,7 @@ class Gaussian1D:
         return abs(float(wts @ vals) - 1.0)
 
 
-class WendlandCubic2D:
+class WendlandCubic2D(_Radial):
     """Compactly supported cubic Wendland kernel in the plane.
 
     Parameters
@@ -147,17 +136,6 @@ class WendlandCubic2D:
         q = np.sqrt(r2) / self.h
         t = np.maximum(2.0 - q, 0.0)
         return -6.0 * self.norm_const * t * t / (self.h * self.h)
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        r2 = _squared_radius(x, self.dim)
-        return self.value_from_sq(r2)
-
-    def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        r2 = _squared_radius(x, self.dim)
-        g = self.grad_scale_from_sq(r2)
-        return g[..., None] * x
 
     def peak_value(self):
         return 8.0 * self.norm_const

@@ -11,19 +11,20 @@ self-term included).  The i = k pressure term vanishes because
 grad W_h(0) = 0, and the i = k interaction term because K(0) = 0.
 
 Both pair sums run on one engine, :func:`_pair_blocks`, which yields
-squared distances block by block: dense row blocks against every
-particle, or each strip of width cutoff along x_0 against its neighbor
-strips.  The input alone picks between the two: :func:`_use_cells` takes
-strips when the kernel's support is small against the cloud.  Pairs
-beyond the support need no mask, since both kernels return exact zeros
-there.  Blocks come in a fixed order, so a given state always produces
+squared distances block by block, at most ``_BLOCK`` targets each: dense
+row blocks against every particle, or the targets of each strip of width
+cutoff along x_0 against its neighbor strips.  The input alone picks
+between the two: :func:`_use_cells` takes strips when the kernel's
+support is small against the cloud's extent along x_0.  Pairs beyond the
+support need no mask, since both kernels return exact zeros there.
+Blocks come in a fixed order, so a given state always produces
 bitwise-identical results.  The module keeps state: the blocks of
 :func:`compute_density` wait in one slot for the pressure sum of
 :func:`compute_accelerations` on equal positions, so an evaluation
 computes its squared distances once; the slot is not thread-safe.
-:class:`ParticleState` snapshots are never mutated.  Importing the module
-tunes glibc's allocator so that the engine's block temporaries are reused
-(:func:`_keep_freed_blocks`).
+:class:`ParticleState` snapshots are never mutated.  Importing the
+module tunes glibc's allocator so that the engine's block temporaries
+are reused (:func:`_keep_freed_blocks`).
 """
 
 import ctypes
@@ -46,8 +47,8 @@ __all__ = [
     "check_support",
 ]
 
-# Row-block size for chunked pairwise evaluation: bounds peak memory at
-# roughly block * n doubles per intermediate matrix.
+# Most targets in one dense or strip block: bounds peak memory at roughly
+# _BLOCK * n doubles per intermediate matrix.
 _BLOCK = 512
 
 # (positions copy, kernel, cutoff, blocks) of the last compute_density
@@ -241,9 +242,10 @@ def _pair_blocks(y, x, cutoff=None):
 
     Without a cutoff the blocks are ``_BLOCK`` targets against all sources.
     With one, the sources are sorted stably by their strip floor(x_0 / cutoff)
-    and the targets of strip s meet strips s-1..s+1, one contiguous range of
-    that order, pairs beyond the cutoff included: the index-sort neighbor
-    search of Ihmsen et al. (Eurographics STAR 2014) along one axis.
+    and the targets of strip s, ``_BLOCK`` at a time, meet strips s-1..s+1,
+    one contiguous range of that order, pairs beyond the cutoff included: the
+    index-sort neighbor search of Ihmsen et al. (Eurographics STAR 2014)
+    along one axis.
     """
     sq_x = np.einsum("id,id->i", x, x)
     sq_y = sq_x if y is x else np.einsum("id,id->i", y, y)
@@ -256,21 +258,23 @@ def _pair_blocks(y, x, cutoff=None):
     sources, targets = np.argsort(strip_x, kind="stable"), np.argsort(strip_y, kind="stable")
     strip_x, strip_y = strip_x[sources], strip_y[targets]
     for s in np.unique(strip_y):
-        rows = targets[np.searchsorted(strip_y, s):np.searchsorted(strip_y, s, "right")]
+        strip = targets[np.searchsorted(strip_y, s):np.searchsorted(strip_y, s, "right")]
         cols = sources[np.searchsorted(strip_x, s - 1.0):np.searchsorted(strip_x, s + 1.0, "right")]
-        yield rows, cols, _pairwise_sq_dists(y[rows], x[cols], sq_y[rows], sq_x[cols])
+        for b in range(0, len(strip), _BLOCK):
+            rows = strip[b:b + _BLOCK]
+            yield rows, cols, _pairwise_sq_dists(y[rows], x[cols], sq_y[rows], sq_x[cols])
 
 
 def _use_cells(kernel, x, interaction):
     """Whether the pair sums over the sources ``x`` run on strips.
 
-    Cells need a compact kernel and no interaction, whose support is
+    Strips need a compact kernel and no interaction, whose support is
     unbounded.
     """
     if interaction is not None or not np.isfinite(kernel.support_radius):
         return False
-    # cells only pay off once several cells span the cloud
-    return x.shape[0] >= 256 and np.ptp(x, axis=0).max() > 4.0 * kernel.support_radius
+    # strips only pay off once several strips span the cloud along x_0
+    return x.shape[0] >= 256 and np.ptp(x[:, 0]) > 4.0 * kernel.support_radius
 
 
 # ---------------------------------------------------------------------------

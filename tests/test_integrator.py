@@ -14,7 +14,6 @@ from sphwass import (
     angular_momentum,
     momentum,
     run,
-    step,
 )
 
 FREE = ForceModel(theta=1)
@@ -27,10 +26,15 @@ def single_particle(x0, v0, dim=1):
     return ParticleState([1.0], x0[None, :], v0[None, :])
 
 
+def run_one_step(state, fm, kernel, dt):
+    """One kick-drift-kick step, as a one-step run from ``state``."""
+    return run(state, fm, kernel, IntegratorConfig(dt=dt, t_end=dt)).states[-1]
+
+
 class TestStep:
     def test_free_particle_drifts(self):
         state = single_particle(0.0, 1.0)
-        out = step(state, FREE, KERNEL_1D, dt=0.1)
+        out = run_one_step(state, FREE, KERNEL_1D, dt=0.1)
         assert out.positions[0, 0] == pytest.approx(0.1, rel=1e-15)
         assert out.velocities[0, 0] == pytest.approx(1.0, rel=1e-15)
         assert out.time == pytest.approx(0.1)
@@ -41,7 +45,7 @@ class TestStep:
         fm = ForceModel(theta=1, eta=eta)
         state = single_particle(0.0, 1.0)
         for _ in range(n_steps):
-            state = step(state, fm, KERNEL_1D, dt)
+            state = run_one_step(state, fm, KERNEL_1D, dt)
         factor = (1.0 - 0.5 * eta * dt) / (1.0 + 0.5 * eta * dt)
         assert state.velocities[0, 0] == pytest.approx(factor**n_steps, rel=1e-12)
 
@@ -65,7 +69,7 @@ class TestStep:
         fm = ForceModel(theta=1, eta=1e3)
         state = single_particle(0.0, 1.0)
         for _ in range(50):
-            state = step(state, fm, KERNEL_1D, dt=1.0)
+            state = run_one_step(state, fm, KERNEL_1D, dt=1.0)
         assert abs(state.velocities[0, 0]) <= 1.0
 
 
@@ -175,7 +179,7 @@ class TestRun:
         stepped, k = state, 0
         for t, snap in zip(traj.times, traj.states):
             while k < round(t / cfg.dt):
-                stepped, k = step(stepped, fm, kernel, cfg.dt), k + 1
+                stepped, k = run_one_step(stepped, fm, kernel, cfg.dt), k + 1
             np.testing.assert_array_equal(snap.positions, stepped.positions)
             np.testing.assert_array_equal(snap.velocities, stepped.velocities)
         assert k == 10

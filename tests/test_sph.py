@@ -218,6 +218,18 @@ class TestPairBlocks:
                 d = np.linalg.norm(y[:, None, :] - x[None, :, :], axis=-1)
                 assert found == set(zip(*np.nonzero(d <= cutoff)))
 
+    def test_strip_blocks_hold_at_most_block_targets(self, rng):
+        # a 100x100 grid puts about 1700 targets in each strip of width 0.5
+        from sphwass.sph import _BLOCK, _pair_blocks
+
+        axes = np.meshgrid(*[np.linspace(0.0, 3.0, 100)] * 2, indexing="ij")
+        grid = np.stack([a.ravel() for a in axes], axis=1)
+        targets = []
+        for rows, cols, r2 in _pair_blocks(grid, rng.random((200, 2)) * 3.0, 0.5):
+            assert r2.shape[0] <= _BLOCK
+            targets.extend(rows)
+        assert sorted(targets) == list(range(len(grid)))
+
     def test_dense_blocks_tile_the_pair_matrix(self, rng):
         from sphwass.sph import _BLOCK, _pair_blocks
 
@@ -322,6 +334,31 @@ def direct_sq_dists(y, x, *_):
     return ((y[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
 
 
+def random_cloud(n, h, extent, seed):
+    """A 2D cloud with random masses, reaching both sides of 0, and its kernel."""
+    rng = np.random.default_rng(seed)
+    masses = normalized(rng.random(n) + 0.1)
+    x = extent * (rng.random((n, 2)) - 0.3)
+    return ParticleState(masses, x, np.zeros((n, 2))), WendlandCubic2D(h)
+
+
+def folded_pair_terms(state, rho, fm, kernel):
+    """Largest sum_i |w_ki| (|x_k| + |x_i|) over k.
+
+    Each acceleration folds its pressure sum into
+    sum_i w_ki x_i - x_k sum_i w_ki, so its rounding scales with those two
+    terms, not with their difference.
+    """
+    from sphwass.forces import f_theta
+
+    x, m = state.positions, state.masses
+    F = f_theta(fm.eos, fm.theta, rho)
+    g = kernel.grad_scale_from_sq(direct_sq_dists(x, x))
+    w = np.abs(m[None, :] * (F[:, None] + fm.theta * F[None, :]) * g)
+    size = np.abs(x).max(axis=1)
+    return (w @ size + w.sum(axis=1) * size).max()
+
+
 def assert_cell_path_matches_all_pairs(state, kernel, fm, monkeypatch):
     # the input picks the path; replacing _use_cells forces one
     def force_cells(use):
@@ -350,37 +387,21 @@ class TestCellListEquivalence:
             state, WendlandCubic2D(0.05), hydro_model(7.0, theta), monkeypatch
         )
 
-    @pytest.mark.parametrize("theta", [0, 1])
-    def test_truncated_gaussian_1d_paths_agree(self, theta, rng, monkeypatch):
-        # the truncation makes W vanish beyond 2h, so cells drop no mass
-        n = 300
-        masses = normalized(rng.random(n) + 0.1)
-        state = ParticleState(masses, rng.random((n, 1)) * 3.0, np.zeros((n, 1)))
-        kernel = Gaussian1D(0.05, cutoff_radius=0.1)
-        assert_cell_path_matches_all_pairs(state, kernel, hydro_model(7.0, theta), monkeypatch)
-
     @settings(max_examples=100, deadline=None)
     @given(
-        dim=st.sampled_from([1, 2]),
         n=st.integers(1, 400),
         h=st.floats(0.005, 0.5),
         extent=st.floats(0.1, 4.0),
         theta=st.sampled_from([0, 1]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_paths_agree_on_random_clouds(self, dim, n, h, extent, theta, seed):
+    def test_paths_agree_on_random_clouds(self, n, h, extent, theta, seed):
         # r2 = |y|^2 + |x|^2 - 2 y.x rounds with the BLAS kernel that the
         # block's shape selects, by up to about eps |x|^2 on either path, and
         # W moves by that over h^2: the paths differ by up to 1e-11 in rho
         # for |x|/h near 200.  Direct differences round the same in any
         # block, so only the blocks and the summation order are compared.
-        from sphwass.forces import f_theta
-
-        rng = np.random.default_rng(seed)
-        masses = normalized(rng.random(n) + 0.1)
-        x = extent * (rng.random((n, dim)) - 0.3)  # strips on both sides of 0
-        state = ParticleState(masses, x, np.zeros((n, dim)))
-        kernel = WendlandCubic2D(h) if dim == 2 else Gaussian1D(h, cutoff_radius=2.0 * h)
+        state, kernel = random_cloud(n, h, extent, seed)
         fm = hydro_model(7.0, theta)
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(sph, "_pairwise_sq_dists", direct_sq_dists)
@@ -390,14 +411,28 @@ class TestCellListEquivalence:
                 rho[cells] = compute_density(state, kernel)
                 acc[cells] = compute_accelerations(state, rho[False], fm, kernel)
         np.testing.assert_allclose(rho[True], rho[False], rtol=1e-13)
-        # each acceleration folds its pair sum into sum_i w_ki x_i - x_k sum_i w_ki,
-        # so its rounding scales with those two terms, not with their difference
-        F = f_theta(fm.eos, theta, rho[False])
-        g = kernel.grad_scale_from_sq(direct_sq_dists(x, x))
-        w = np.abs(masses[None, :] * (F[:, None] + theta * F[None, :]) * g)
-        size = np.abs(x).max(axis=1)
-        folded = (w @ size + w.sum(axis=1) * size).max()
+        folded = folded_pair_terms(state, rho[False], fm, kernel)
         assert np.abs(acc[True] - acc[False]).max() <= 1e-13 * folded
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 400),
+        h=st.floats(0.005, 0.5),
+        extent=st.floats(0.1, 4.0),
+        cells=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_theta1_momentum_closure_on_random_clouds(self, n, h, extent, cells, seed):
+        # the pair terms of theta = 1 cancel in sum_k m_k a_k on either path,
+        # with the engine's own squared distances
+        state, kernel = random_cloud(n, h, extent, seed)
+        fm = hydro_model(7.0, 1)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(sph, "_use_cells", lambda kernel, x, interaction: cells)
+            rho = compute_density(state, kernel)
+            acc = compute_accelerations(state, rho, fm, kernel)
+        folded = folded_pair_terms(state, rho, fm, kernel)
+        assert np.abs(state.masses @ acc).max() <= 1e-13 * folded
 
     def test_auto_dispatch_uses_cells_for_small_support(self, rng):
         from sphwass.sph import _use_cells
@@ -407,6 +442,13 @@ class TestCellListEquivalence:
         assert not _use_cells(WendlandCubic2D(1.0), x, None)
         assert not _use_cells(Gaussian1D(1.0), x[:, :1], None)
         assert not _use_cells(WendlandCubic2D(0.05), x, MorseInteraction())
+
+    def test_extent_is_measured_along_the_strip_axis(self, rng):
+        # strips cut x_0 only: a cloud narrow in x_0 but long in x_1 would
+        # fall into a single strip, so it takes the dense path
+        x = rng.random((2048, 2)) * [0.3, 20.0]
+        assert not sph._use_cells(WendlandCubic2D(0.5), x, None)
+        assert sph._use_cells(WendlandCubic2D(0.5), x[:, ::-1], None)
 
 
 class TestSupportDiagnostic:

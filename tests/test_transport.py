@@ -259,6 +259,32 @@ class TestMetricAxioms:
             assert abs(d_mn - dist(nu, mu)) <= 1e-12
             assert d_mn <= dist(mu, rho) + dist(rho, nu) + 1e-9
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        solver=st.sampled_from(["exact 1D CDF sweep", "assignment", "transportation LP"]),
+        sizes=st.lists(st.sampled_from([2, 4, 8, 16]), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_axioms_on_each_solver(self, solver, sizes, seed):
+        # 1D clouds take the CDF sweep; in 2D, uniform clouds whose sizes
+        # divide take the assignment and random weights the LP
+        rng = np.random.default_rng(seed)
+        dim = 1 if solver == "exact 1D CDF sweep" else 2
+
+        def measure(n):
+            if solver == "assignment":
+                return DiscreteMeasure(rng.random((n, dim)), np.full(n, 1.0 / n))
+            return random_measure(rng, n, dim=dim)
+
+        mu, nu, rho = (measure(n) for n in sizes)
+        for a, b in ((mu, nu), (nu, mu), (mu, rho), (rho, nu), (mu, mu)):
+            assert w1_solver(a, b) == solver
+        d_mn = wasserstein1(mu, nu)
+        assert d_mn >= 0.0
+        assert wasserstein1(mu, mu) <= 1e-12
+        assert abs(d_mn - wasserstein1(nu, mu)) <= 1e-12
+        assert d_mn <= wasserstein1(mu, rho) + wasserstein1(rho, nu) + 1e-9
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_translation_equivariance(self, rng, dim):
         shift = np.full(dim, 0.37)
