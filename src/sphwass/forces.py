@@ -183,10 +183,10 @@ class ForceModel:
             raise ValueError("eta must be nonnegative")
 
     def eta_at(self, y):
-        """Drag coefficient per position, broadcast against y's rows."""
+        """Drag coefficient at y's rows as a column, or a constant eta as a number."""
         if callable(self.eta):
-            return np.asarray(self.eta(y), dtype=float)
-        return np.full(np.asarray(y).shape[0], float(self.eta))
+            return np.asarray(self.eta(y), dtype=float)[:, None]
+        return float(self.eta)
 
     def grad_v(self, y):
         if self.v_ext is None:

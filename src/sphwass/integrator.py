@@ -96,16 +96,14 @@ def _kick_drift_kick(probe, a, fm, kernel, dt, k):
     the next step starts from.
     """
     x, v = probe.positions, probe.velocities
-    eta0 = fm.eta_at(x)[:, None]
-    v = v * (1.0 - 0.5 * dt * eta0) + 0.5 * dt * a
+    v = v * (1.0 - 0.5 * dt * fm.eta_at(x)) + 0.5 * dt * a
     x = x + dt * v
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+    if not (np.isfinite(x).all() and np.isfinite(v).all()):
         raise SimulationDivergedError(k)
     probe.positions, probe.velocities = x, v
     a = _nodrag_accel(probe, fm, kernel)
-    eta1 = fm.eta_at(x)[:, None]
-    v = (v + 0.5 * dt * a) / (1.0 + 0.5 * dt * eta1)
-    if not np.all(np.isfinite(v)):
+    v = (v + 0.5 * dt * a) / (1.0 + 0.5 * dt * fm.eta_at(x))
+    if not np.isfinite(v).all():
         raise SimulationDivergedError(k)
     probe.velocities = v
     return a

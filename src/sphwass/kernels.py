@@ -20,8 +20,9 @@ Two families are provided:
   explicitly to reproduce that convention.)
 
 Both kernels are nonnegative, even, and integrate to one; gradients are
-analytic and vanish at the origin.  Instances are immutable after
-construction and safe for concurrent reads.
+analytic and vanish at the origin.  ``value_and_grad_from_sq`` gives both
+from one radial evaluation, bitwise as ``value_from_sq`` and
+``grad_scale_from_sq``.  Instances are immutable and safe for concurrent reads.
 """
 
 import numpy as np
@@ -78,7 +79,11 @@ class Gaussian1D(_Radial):
 
     def grad_scale_from_sq(self, r2):
         """Scalar g(r^2) such that grad W(x) = g(|x|^2) * x."""
-        return -2.0 * self.value_from_sq(r2) / (self.h * self.h)
+        return self.value_and_grad_from_sq(r2)[1]
+
+    def value_and_grad_from_sq(self, r2):
+        w = self.value_from_sq(r2)
+        return w, -2.0 * w / (self.h * self.h)
 
     def peak_value(self):
         """sup W = W(0)."""
@@ -121,10 +126,7 @@ class WendlandCubic2D(_Radial):
         return 2.0 * self.h
 
     def value_from_sq(self, r2):
-        r2 = np.asarray(r2, dtype=float)
-        q = np.sqrt(r2) / self.h
-        t = np.maximum(2.0 - q, 0.0)
-        return self.norm_const * (1.0 + 1.5 * q) * t * t * t
+        return self._value(*self._q_t(r2))
 
     def grad_scale_from_sq(self, r2):
         """Scalar g(r^2) such that grad W(x) = g(|x|^2) * x.
@@ -132,10 +134,30 @@ class WendlandCubic2D(_Radial):
         dW/dr = -6 sigma r (2 - r/h)^2 / h^2, so g = -6 sigma (2-q)^2 / h^2
         with no singularity at the origin.
         """
-        r2 = np.asarray(r2, dtype=float)
-        q = np.sqrt(r2) / self.h
-        t = np.maximum(2.0 - q, 0.0)
-        return -6.0 * self.norm_const * t * t / (self.h * self.h)
+        return self._grad_scale(self._q_t(r2)[1])
+
+    def value_and_grad_from_sq(self, r2):
+        q, t = self._q_t(r2)
+        return self._value(q, t), self._grad_scale(t)
+
+    def _q_t(self, r2):
+        q = np.sqrt(np.asarray(r2, dtype=float))
+        q /= self.h
+        return q, np.maximum(2.0 - q, 0.0)
+
+    def _value(self, q, t):  # sigma (1 + 1.5 q) t t t, over q
+        q *= 1.5
+        q += 1.0
+        q *= self.norm_const
+        for _ in range(3):
+            q *= t
+        return q
+
+    def _grad_scale(self, t):
+        g = t * (-6.0 * self.norm_const)
+        g *= t
+        g /= self.h * self.h
+        return g
 
     def peak_value(self):
         return 8.0 * self.norm_const

@@ -17,14 +17,14 @@ cutoff along x_0 against its neighbor strips.  The input alone picks
 between the two: :func:`_use_cells` takes strips when the kernel's
 support is small against the cloud's extent along x_0.  Pairs beyond the
 support need no mask, since both kernels return exact zeros there.
-Blocks come in a fixed order, so a given state always produces
-bitwise-identical results.  The module keeps state: the blocks of
-:func:`compute_density` wait in one slot for the pressure sum of
-:func:`compute_accelerations` on equal positions, so an evaluation
-computes its squared distances once; the slot is not thread-safe.
-:class:`ParticleState` snapshots are never mutated.  Importing the
-module tunes glibc's allocator so that the engine's block temporaries
-are reused (:func:`_keep_freed_blocks`).
+Blocks come in a fixed order, so results are bitwise reproducible, and are
+worked in place in the order of the plain expressions.  The module keeps
+state, not thread-safe: the blocks of :func:`compute_density` and their
+gradient scales g wait in one slot for the pressure sum of
+:func:`compute_accelerations` on equal positions, so an evaluation does its
+pair and kernel work once.  :class:`ParticleState` snapshots are never
+mutated.  Importing the module tunes glibc's allocator so that the engine's
+block temporaries are reused (:func:`_keep_freed_blocks`).
 """
 
 import ctypes
@@ -53,7 +53,7 @@ _BLOCK = 512
 
 # (positions copy, kernel, cutoff, blocks) of the last compute_density
 _slot = None
-_SLOT_ENTRIES = 2**22  # squared distances the slot may hold: 32 MB
+_SLOT_ENTRIES = 2**22  # squared distances plus gradient scales it may hold: 32 MB
 
 # glibc mallopt parameters
 _M_TRIM_THRESHOLD = -1
@@ -138,7 +138,9 @@ def _pairwise_sq_dists(x_block, x_all, sq_block, sq_all):
 
     Diagonal entries are exactly zero; cancellation noise is clipped at 0.
     """
-    r2 = sq_block[:, None] + sq_all[None, :] - 2.0 * (x_block @ x_all.T)
+    r2 = np.repeat(sq_block[:, None], len(sq_all), axis=1)  # faster than broadcasting
+    r2 += sq_all
+    r2 -= 2.0 * (x_block @ x_all.T)  # numpy's syrk for x @ x.T; a GEMM changes bits
     np.maximum(r2, 0.0, out=r2)
     return r2
 
@@ -155,17 +157,20 @@ def compute_density(state, kernel):
 
 def _density_at(y, state, kernel):
     """Regularized density sum_j m_j W_h(y_k - x_j) of ``state`` at points y;
-    the blocks go to the slot if y is the positions and they fit."""
+    the blocks, with their g, go to the slot if y is the positions and they fit."""
     global _slot
     x, m = state.positions, state.masses
     cutoff = kernel.support_radius if _use_cells(kernel, x, None) else None
     rho = np.zeros(y.shape[0])
     kept, size = [], 0
     for rows, cols, r2 in _pair_blocks(y, x, cutoff):
-        rho[rows] = kernel.value_from_sq(r2) @ m[cols]
-        size += r2.size
+        size += 2 * r2.size
         if y is x and size <= _SLOT_ENTRIES:
-            kept.append((rows, cols, r2))
+            w, g = kernel.value_and_grad_from_sq(r2)
+            kept.append((rows, cols, r2, g))
+        else:
+            w = kernel.value_from_sq(r2)
+        rho[rows] = w @ m[cols]
     if y is x:
         _slot = (x.copy(), kernel, cutoff, kept) if size <= _SLOT_ENTRIES else None
     return rho
@@ -192,9 +197,10 @@ def compute_accelerations(state, rho, fm, kernel, include_drag=True):
 
     acc = _pair_accel(blocks, x, m, F, fm.theta, kernel, fm.interaction)
 
-    acc -= fm.grad_v(x)
+    if fm.v_ext is not None:
+        acc -= fm.grad_v(x)
     if include_drag:
-        acc -= fm.eta_at(x)[:, None] * v
+        acc -= fm.eta_at(x) * v
     return acc
 
 
@@ -205,14 +211,18 @@ def _pair_accel(blocks, x, m, F, theta, kernel, interaction):
     two matrix products: (w @ x) - x_k * rowsum(w).
     """
     acc = np.zeros_like(x)
-    for rows, cols, r2 in blocks:
+    for rows, cols, r2, *kept_g in blocks:  # the slot's blocks carry g
         xr, xc, mc = x[rows], x[cols], m[cols]
         if F is not None:
-            g = kernel.grad_scale_from_sq(r2)
-            pw = mc[None, :] * (F[rows, None] + theta * F[cols][None, :]) * g
+            g = kept_g[0] if kept_g else kernel.grad_scale_from_sq(r2)
+            pw = np.repeat(F[rows, None], len(mc), axis=1)
+            pw += theta * F[cols]
+            pw *= mc[None, :]
+            pw *= g
             acc[rows] += pw @ xc - xr * pw.sum(axis=1)[:, None]
         if interaction is not None:
-            c = interaction.force_scale(np.sqrt(r2)) * mc[None, :]
+            c = interaction.force_scale(np.sqrt(r2))
+            c *= mc[None, :]
             acc[rows] += xr * c.sum(axis=1)[:, None] - c @ xc
     return acc
 

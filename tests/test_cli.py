@@ -180,18 +180,20 @@ class TestVerifyCommand:
 
     def test_injected_gradient_asymmetry_fails_momentum_check(self, monkeypatch, capsys):
         # mutation harness: flip the sign of grad W for half of the pair
-        # evaluations, destroying the pairwise antisymmetry
+        # evaluations, destroying the pairwise antisymmetry.  The pressure
+        # sum takes its gradient scales from the density pass, so the
+        # mutation goes there.
         from sphwass.kernels import WendlandCubic2D
 
-        original = WendlandCubic2D.grad_scale_from_sq
+        original = WendlandCubic2D.value_and_grad_from_sq
 
         def corrupted(self, r2):
-            g = original(self, r2)
+            w, g = original(self, r2)
             g = np.atleast_2d(np.asarray(g, dtype=float).copy())
             g[:, ::2] *= -1.0
-            return g
+            return w, g
 
-        monkeypatch.setattr(WendlandCubic2D, "grad_scale_from_sq", corrupted)
+        monkeypatch.setattr(WendlandCubic2D, "value_and_grad_from_sq", corrupted)
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         momentum_line = [l for l in out.splitlines() if "momentum" in l][0]

@@ -50,27 +50,45 @@ class TestStep:
         assert state.velocities[0, 0] == pytest.approx(factor**n_steps, rel=1e-12)
 
     def test_pure_drag_second_order_against_exponential(self):
-        # relative error vs exp(-eta t) shrinks by ~4 when dt halves
+        # relative error of the integrated velocity vs exp(-eta t) shrinks
+        # by ~4 when dt halves
         eta, t_end = 10.0, 1.0
+        fm = ForceModel(theta=1, eta=eta)
         errors = []
         for dt in (1e-2, 5e-3, 2.5e-3):
-            n_steps = int(round(t_end / dt))
-            factor = (1.0 - 0.5 * eta * dt) / (1.0 + 0.5 * eta * dt)
-            v = factor**n_steps
+            cfg = IntegratorConfig(dt=dt, t_end=t_end)
+            v = run(single_particle(0.0, 1.0), fm, KERNEL_1D, cfg).states[-1].velocities[0, 0]
             errors.append(abs(v - np.exp(-eta * t_end)) / np.exp(-eta * t_end))
         orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
         assert all(1.8 <= order <= 2.2 for order in orders)
 
     def test_drag_stable_for_large_eta_dt(self):
-        # update factor has magnitude <= 1 for every eta * dt
+        # one step shrinks |v| for every eta * dt
         for eta_dt in (0.1, 1.0, 10.0, 1e3):
-            factor = (1.0 - 0.5 * eta_dt) / (1.0 + 0.5 * eta_dt)
-            assert abs(factor) <= 1.0
+            fm = ForceModel(theta=1, eta=eta_dt)
+            out = run_one_step(single_particle(0.0, 1.0), fm, KERNEL_1D, dt=1.0)
+            assert abs(out.velocities[0, 0]) <= 1.0
         fm = ForceModel(theta=1, eta=1e3)
         state = single_particle(0.0, 1.0)
         for _ in range(50):
             state = run_one_step(state, fm, KERNEL_1D, dt=1.0)
         assert abs(state.velocities[0, 0]) <= 1.0
+
+
+    def test_constant_and_field_drag_give_the_same_bits(self, rng):
+        # a constant eta enters the half-kicks as a number, a field per
+        # particle; (0.5 dt) eta rounds the same either way
+        n = 9
+        state = ParticleState(np.full(n, 1.0 / n), rng.random((n, 2)), rng.random((n, 2)) - 0.5)
+        cfg = IntegratorConfig(dt=1e-2, t_end=0.2, snapshot_times=(0.1, 0.2))
+        runs = []
+        for eta in (3.7, lambda y: np.full(len(y), 3.7)):
+            fm = ForceModel(theta=1, eos=EosPolytropic(gamma=7.0), eta=eta,
+                            interaction=MorseInteraction())
+            runs.append(run(state, fm, WendlandCubic2D(0.3), cfg).states)
+        for a, b in zip(*runs):
+            assert a.positions.tobytes() == b.positions.tobytes()
+            assert a.velocities.tobytes() == b.velocities.tobytes()
 
 
 class TestHarmonicOscillator:

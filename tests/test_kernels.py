@@ -181,3 +181,48 @@ def test_exact_zeros_beyond_the_support(h, ulps, scale):
     r2 = r2[r2 > edge]
     assert np.all(kernel.value_from_sq(r2) == 0.0)
     assert np.all(kernel.grad_scale_from_sq(r2) == 0.0)
+
+
+def plain_value_and_grad(kernel, r2):
+    """Each kernel's W and g as plain numpy expressions, in their operation order."""
+    hh = kernel.h * kernel.h
+    if isinstance(kernel, Gaussian1D):
+        w = kernel.norm_const * np.exp(-r2 / hh)
+        return w, -2.0 * w / hh
+    q = np.sqrt(r2) / kernel.h
+    t = np.maximum(2.0 - q, 0.0)
+    return kernel.norm_const * (1.0 + 1.5 * q) * t * t * t, -6.0 * kernel.norm_const * t * t / hh
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from([Gaussian1D, WendlandCubic2D]),
+    h=st.floats(1e-3, 1e3),
+    shape=st.sampled_from([(1, 1), (1, 9), (7, 13), (40, 3)]),
+    data=st.data(),
+)
+def test_value_and_grad_from_sq_keeps_the_bits_of_each_method(kind, h, shape, data):
+    # the density pass takes W and g from one radial evaluation; both must
+    # equal the separate methods and the plain expressions bit for bit, at
+    # r = 0, at the support edge 2h and beyond it, and leave r2 alone for
+    # the interaction sum, which reads it after the kernel
+    kernel = kind(h)
+    edge = (2.0 * h) ** 2
+    special = st.sampled_from([0.0, edge, np.nextafter(edge, np.inf), 1e3 * edge])
+    size = shape[0] * shape[1]
+    values = data.draw(st.lists(st.one_of(special, st.floats(0.0, 4.0 * edge)),
+                                min_size=size, max_size=size))
+    r2 = np.array(values).reshape(shape)
+    before = r2.copy()
+    w, g = kernel.value_and_grad_from_sq(r2)
+    assert_same_bits(r2, before)
+    assert_same_bits(w, kernel.value_from_sq(r2))
+    assert_same_bits(g, kernel.grad_scale_from_sq(r2))
+    plain_w, plain_g = plain_value_and_grad(kernel, r2)
+    assert_same_bits(w, plain_w)
+    assert_same_bits(g, plain_g)
+    assert_same_bits(r2, before)

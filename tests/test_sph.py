@@ -240,6 +240,26 @@ class TestPairBlocks:
         )
 
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_sq_dists_keep_the_bits_of_the_plain_expansion(self, dim, rng):
+        # the blocks are built in place; every n from 1 to 600 in steps of 7
+        # meets each residue mod 8, where BLAS kernels change, and n <= 512
+        # puts all of x against its own transpose (numpy's syrk)
+        from sphwass.sph import _BLOCK, _pairwise_sq_dists
+
+        for n in range(1, 601, 7):
+            x = (rng.random((n, dim)) * 4.0 - 1.2) * rng.choice([1.0, 30.0])
+            sq = np.einsum("id,id->i", x, x)
+            for rows in (slice(None), slice(0, _BLOCK), slice(_BLOCK, None), slice(1, None, 3)):
+                xb, sqb = x[rows], sq[rows]
+                if rows == slice(None):
+                    xb = x
+                plain = sqb[:, None] + sq[None, :] - 2.0 * (xb @ x.T)
+                np.maximum(plain, 0.0, out=plain)
+                r2 = _pairwise_sq_dists(xb, x, sqb, sq)
+                assert r2.shape == plain.shape and r2.tobytes() == plain.tobytes()
+
+
 class _Untouchable:
     """Stands in for the slot; any read of it fails."""
 
@@ -283,6 +303,30 @@ class TestBlockSlot:
         # the same evaluation with fresh blocks is bitwise identical
         np.testing.assert_array_equal(acc, compute_accelerations(state, rho, fm, kernel))
         assert len(calls) == 2
+
+    def test_slot_hit_does_no_kernel_work(self, setup, monkeypatch):
+        # the pressure sum takes g from the slot; a miss computes it from r2
+        state, kernel, fm = setup
+        calls = []
+
+        def count(name):
+            method = getattr(WendlandCubic2D, name)
+
+            def counted(self, r2):
+                calls.append(name)
+                return method(self, r2)
+
+            monkeypatch.setattr(WendlandCubic2D, name, counted)
+
+        for name in ("value_from_sq", "grad_scale_from_sq", "value_and_grad_from_sq"):
+            count(name)
+        rho = compute_density(state, kernel)
+        assert set(calls) == {"value_and_grad_from_sq"}
+        calls.clear()
+        compute_accelerations(state, rho, fm, kernel)
+        assert calls == []
+        compute_accelerations(state, rho, fm, kernel)
+        assert set(calls) == {"grad_scale_from_sq"}
 
     def test_positions_moved_in_place_get_fresh_blocks(self, setup):
         state, kernel, fm = setup
