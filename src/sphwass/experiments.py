@@ -17,11 +17,12 @@ A study runs every resolution of the ladder from an independently
 constructed initial state, evaluates the Wasserstein-1 distance between
 consecutive runs on a shared snapshot grid, takes the max over the grid,
 and converts consecutive maxima into convergence rates.
+
+Only a study with ``workers > 1`` imports ``concurrent.futures``.
 """
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,6 +221,7 @@ def run_convergence_study(plan, workers=1, budget=None):
     """
     ks = list(plan.resolutions)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(_single_run, [plan] * len(ks), ks))
     else:

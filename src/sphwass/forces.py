@@ -106,11 +106,13 @@ class MorseInteraction:
     def force_scale(self, r):
         """Scalar c(r) such that K(x) = c(|x|) * x, with c(0) = 0."""
         r = np.asarray(r, dtype=float)
-        taper = np.where(
-            r < self.r_cut, _smoothstep(np.minimum(r / self.r_cut, 1.0)), 1.0
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = np.where(r > 0.0, -self.u_prime(r) * taper / np.where(r > 0, r, 1.0), 0.0)
+        c = np.asarray(self.u_prime(r))
+        np.negative(c, out=c)
+        near = r < self.r_cut  # the taper is 1.0 elsewhere, and x * 1.0 == x
+        c[near] *= _smoothstep(r[near] / self.r_cut)
+        pos = r > 0.0
+        np.divide(c, r, out=c, where=pos)
+        c[~pos] = 0.0
         return c
 
     def force(self, x):
@@ -121,12 +123,16 @@ class MorseInteraction:
         return np.asarray(c)[..., None] * x
 
     def sup_norm(self, r_max=None, n_samples=200001):
-        """Sampled sup of |K| over radii in [0, r_max] (dense grid)."""
+        """Sampled sup of |K| over radii in [0, r_max] (dense grid), taken in
+        chunks of 4096 samples to keep temporaries small; max is exact."""
         if r_max is None:
             r_max = 20.0 * max(self.l_a, self.l_r)
         r = np.linspace(0.0, r_max, n_samples)
-        taper = np.where(r < self.r_cut, _smoothstep(r / self.r_cut), 1.0)
-        return float(np.abs(self.u_prime(r) * taper).max())
+        sups = []
+        for rc in np.split(r, range(4096, n_samples, 4096)):
+            taper = np.where(rc < self.r_cut, _smoothstep(rc / self.r_cut), 1.0)
+            sups.append(np.abs(self.u_prime(rc) * taper).max())
+        return float(np.max(sups))
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,14 @@ paths of :func:`w1_lp`.
 :func:`dual_certificate` bounds the optimality gap of any feasible plan
 through a 1-Lipschitz potential built by shortest-path relaxation, using
 nothing from the solver's internals.
+
+scipy is imported at the first assignment or LP solve, through the
+module-level :func:`linear_sum_assignment` and :func:`linprog`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .initial import PiecewiseConstantDensity1D
 
@@ -68,6 +69,18 @@ _MAX_COPIES = 16
 
 class TransportBudgetError(RuntimeError):
     """Problem size exceeds the configured memory budget."""
+
+
+def linear_sum_assignment(cost):
+    """``scipy.optimize.linear_sum_assignment``, imported on the first call."""
+    from scipy.optimize import linear_sum_assignment
+    return linear_sum_assignment(cost)
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call."""
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
 
 
 def write_csv(fname, header, rows, fmt=FLOAT_FMT):
@@ -266,6 +279,7 @@ def _solve_assignment(a, b, cost):
 
 def _solve_transport_lp(a, b, cost):
     """Transportation LP by HiGHS dual simplex; returns the dense plan."""
+    from scipy import sparse
     n_s, n_t = cost.shape
     rows = np.concatenate(
         [np.repeat(np.arange(n_s), n_t), n_s + np.tile(np.arange(n_t), n_s)]

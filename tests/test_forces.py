@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphwass import (
     EosPolytropic,
@@ -135,6 +139,69 @@ class TestMorse:
             MorseInteraction(c_a=-1.0)
         with pytest.raises(ValueError):
             MorseInteraction(r_cut=0.0)
+
+
+def smoothstep(u):
+    return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
+
+
+def plain_force_scale(m, r):
+    """c(r) from whole-array temporaries, in the operation order of
+    ``MorseInteraction.force_scale``."""
+    taper = np.where(r < m.r_cut, smoothstep(np.minimum(r / m.r_cut, 1.0)), 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(r > 0.0, -m.u_prime(r) * taper / np.where(r > 0, r, 1.0), 0.0)
+
+
+def plain_sup_norm(m, r_max, n_samples):
+    r = np.linspace(0.0, r_max, n_samples)
+    taper = np.where(r < m.r_cut, smoothstep(r / m.r_cut), 1.0)
+    return float(np.abs(m.u_prime(r) * taper).max())
+
+
+@st.composite
+def radii_and_interaction(draw):
+    """A Morse interaction and radii in a (1, 1) or (m, n) array that mix
+    0, r_cut, the double just below r_cut and large values."""
+    m = MorseInteraction(**PAPER_MORSE, r_cut=draw(st.floats(1e-3, 2.0)))
+    special = st.sampled_from([0.0, m.r_cut, np.nextafter(m.r_cut, 0.0), 1e3, 1e300])
+    value = st.one_of(special, st.floats(0.0, 3.0 * m.r_cut), st.floats(0.0, 100.0))
+    shape = draw(st.sampled_from([(1, 1), None]))
+    if shape is None:
+        shape = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    values = draw(st.lists(value, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    return m, np.array(values).reshape(shape)
+
+
+class TestMorseEvaluation:
+    @settings(max_examples=200, deadline=None)
+    @given(radii_and_interaction())
+    def test_force_scale_is_bitwise_the_plain_expression(self, case):
+        m, r = case
+        c = m.force_scale(r)
+        assert c.shape == r.shape
+        assert c.tobytes() == plain_force_scale(m, r).tobytes()  # signs of zero too
+
+    # |K| rises all the way to r = 0.08 < r_cut, so there the max is the
+    # last sample, in a partial chunk
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"n_samples": 3 * 4096 + 17}, {"r_max": 0.08, "n_samples": 3 * 4096 + 17}]
+    )
+    def test_sup_norm_is_bitwise_the_one_shot_grid(self, kwargs):
+        m = MorseInteraction(**PAPER_MORSE)
+        r_max = kwargs.get("r_max", 20.0 * max(m.l_a, m.l_r))
+        expected = plain_sup_norm(m, r_max, kwargs.get("n_samples", 200001))
+        assert m.sup_norm(**kwargs) == expected
+
+    def test_sup_norm_keeps_its_temporaries_small(self):
+        m = MorseInteraction(**PAPER_MORSE)
+        tracemalloc.start()
+        try:
+            m.sup_norm()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 def external_accel(fm, y, u):
