@@ -16,6 +16,7 @@ the two particle schemes coincide.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -122,6 +123,7 @@ class MorseInteraction:
         c = self.force_scale(r)
         return np.asarray(c)[..., None] * x
 
+    @lru_cache  # frozen and hashable: the rungs of a study share one computation
     def sup_norm(self, r_max=None, n_samples=200001):
         """Sampled sup of |K| over radii in [0, r_max] (dense grid), taken in
         chunks of 4096 samples to keep temporaries small; max is exact."""
@@ -169,9 +171,8 @@ class ForceModel:
         interaction/drag problems).
     v_ext : object or None
         External potential exposing ``gradient(y)``; None means zero.
-    eta : float or callable
-        Drag coefficient, a nonnegative constant or a field ``eta(y)``
-        returning per-particle values.
+    eta : float
+        Drag coefficient, a nonnegative finite number.
     interaction : MorseInteraction or None
         Pairwise interaction kernel; None disables it.
     """
@@ -179,20 +180,14 @@ class ForceModel:
     theta: int = 1
     eos: EosPolytropic | None = None
     v_ext: object = None
-    eta: object = 0.0
+    eta: float = 0.0
     interaction: MorseInteraction | None = None
 
     def __post_init__(self):
         if self.theta not in (0, 1):
             raise ValueError(f"theta must be 0 or 1, got {self.theta}")
-        if not callable(self.eta) and self.eta < 0:
-            raise ValueError("eta must be nonnegative")
-
-    def eta_at(self, y):
-        """Drag coefficient at y's rows as a column, or a constant eta as a number."""
-        if callable(self.eta):
-            return np.asarray(self.eta(y), dtype=float)[:, None]
-        return float(self.eta)
+        if callable(self.eta) or not 0.0 <= self.eta < np.inf:  # also false for NaN
+            raise ValueError(f"eta must be a nonnegative finite number, got {self.eta!r}")
 
     def grad_v(self, y):
         if self.v_ext is None:

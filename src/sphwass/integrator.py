@@ -4,11 +4,11 @@ Linear drag receives special treatment so that the pure-drag subproblem
 is integrated by the trapezoidal closed form: the first half-kick applies
 drag explicitly,
 
-    v <- v (1 - dt/2 eta(x)) + dt/2 a(x),
+    v <- v (1 - dt/2 eta) + dt/2 a(x),
 
 and the second half-kick implicitly,
 
-    v <- (v + dt/2 a(x')) / (1 + dt/2 eta(x')),
+    v <- (v + dt/2 a(x')) / (1 + dt/2 eta),
 
 where a(x) collects pressure, external-potential, and interaction terms
 (everything except drag).  With all non-drag forces zero the velocity is
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# compute_density is not called here: perfbench/tracing.py wraps it under this module
 from .sph import ParticleState, compute_accelerations, compute_density
 
 __all__ = ["IntegratorConfig", "Trajectory", "SimulationDivergedError", "run"]
@@ -80,12 +81,6 @@ class Trajectory:
         return len(self.times)
 
 
-def _nodrag_accel(state, fm, kernel):
-    # only a pressure law reads the density
-    rho = compute_density(state, kernel) if fm.eos is not None else None
-    return compute_accelerations(state, rho, fm, kernel, include_drag=False)
-
-
 def _kick_drift_kick(probe, a, fm, kernel, dt, k):
     """Step ``k`` from the probe's (x, v), given the drag-free acceleration
     ``a`` at x.
@@ -96,13 +91,13 @@ def _kick_drift_kick(probe, a, fm, kernel, dt, k):
     the next step starts from.
     """
     x, v = probe.positions, probe.velocities
-    v = v * (1.0 - 0.5 * dt * fm.eta_at(x)) + 0.5 * dt * a
+    v = v * (1.0 - 0.5 * dt * fm.eta) + 0.5 * dt * a
     x = x + dt * v
     if not (np.isfinite(x).all() and np.isfinite(v).all()):
         raise SimulationDivergedError(k)
     probe.positions, probe.velocities = x, v
-    a = _nodrag_accel(probe, fm, kernel)
-    v = (v + 0.5 * dt * a) / (1.0 + 0.5 * dt * fm.eta_at(x))
+    a = compute_accelerations(probe, None, fm, kernel, include_drag=False)
+    v = (v + 0.5 * dt * a) / (1.0 + 0.5 * dt * fm.eta)
     if not np.isfinite(v).all():
         raise SimulationDivergedError(k)
     probe.velocities = v
@@ -122,7 +117,7 @@ def run(state0, fm, kernel, cfg):
     probe = state0.copy()
     t0 = state0.time
 
-    a = _nodrag_accel(probe, fm, kernel)
+    a = compute_accelerations(probe, None, fm, kernel, include_drag=False)
     for k in range(n_steps + 1):
         if k > 0:
             a = _kick_drift_kick(probe, a, fm, kernel, cfg.dt, k)

@@ -4,7 +4,7 @@ the pair engine they share, and conservation/support diagnostics.
 The acceleration of particle k is
 
     a_k = - sum_i m_i grad W_h(x_k - x_i) [F_theta(rho_k) + theta F_theta(rho_i)]
-          - grad V(x_k) - eta(x_k) v_k + sum_i m_i K(x_k - x_i),
+          - grad V(x_k) - eta v_k + sum_i m_i K(x_k - x_i),
 
 with the regularized density rho_k = sum_j m_j W_h(x_k - x_j) (the j = k
 self-term included).  The i = k pressure term vanishes because
@@ -18,11 +18,11 @@ between the two: :func:`_use_cells` takes strips when the kernel's
 support is small against the cloud's extent along x_0.  Pairs beyond the
 support need no mask, since both kernels return exact zeros there.
 Blocks come in a fixed order, so results are bitwise reproducible, and are
-worked in place in the order of the plain expressions.  The module keeps
-state, not thread-safe: the blocks of :func:`compute_density` and their
-gradient scales g wait in one slot for the pressure sum of
-:func:`compute_accelerations` on equal positions, so an evaluation does its
-pair and kernel work once.  :class:`ParticleState` snapshots are never
+worked in place in the order of the plain expressions.  One evaluation owns
+its blocks: :func:`compute_accelerations` walks the pairs once for rho and
+keeps each block with its gradient scales g in a local slot for the
+pressure sum, so it does its pair and kernel work once.  The module holds
+no state between calls.  :class:`ParticleState` snapshots are never
 mutated.  Importing the module tunes glibc's allocator so that the engine's
 block temporaries are reused (:func:`_keep_freed_blocks`).
 """
@@ -51,9 +51,7 @@ __all__ = [
 # _BLOCK * n doubles per intermediate matrix.
 _BLOCK = 512
 
-# (positions copy, kernel, cutoff, blocks) of the last compute_density
-_slot = None
-_SLOT_ENTRIES = 2**22  # squared distances plus gradient scales it may hold: 32 MB
+_SLOT_ENTRIES = 2**22  # squared distances plus gradient scales one evaluation keeps: 32 MB
 
 # glibc mallopt parameters
 _M_TRIM_THRESHOLD = -1
@@ -146,61 +144,63 @@ def _pairwise_sq_dists(x_block, x_all, sq_block, sq_all):
 
 
 def compute_density(state, kernel):
-    """Summation density rho_i = sum_j m_j W_h(x_i - x_j), self-term included.
-
-    Returns an (n,) array, and leaves the pair blocks in the slot.
-    """
+    """Summation density rho_i = sum_j m_j W_h(x_i - x_j), self-term included,
+    as an (n,) array: the reference for the rho of :func:`compute_accelerations`."""
     if state.dim != kernel.dim:
         raise ValueError(f"state dimension {state.dim} != kernel dimension {kernel.dim}")
     return _density_at(state.positions, state, kernel)
 
 
 def _density_at(y, state, kernel):
-    """Regularized density sum_j m_j W_h(y_k - x_j) of ``state`` at points y;
-    the blocks, with their g, go to the slot if y is the positions and they fit."""
-    global _slot
+    """Regularized density sum_j m_j W_h(y_k - x_j) of ``state`` at points y."""
     x, m = state.positions, state.masses
     cutoff = kernel.support_radius if _use_cells(kernel, x, None) else None
     rho = np.zeros(y.shape[0])
-    kept, size = [], 0
     for rows, cols, r2 in _pair_blocks(y, x, cutoff):
-        size += 2 * r2.size
-        if y is x and size <= _SLOT_ENTRIES:
-            w, g = kernel.value_and_grad_from_sq(r2)
-            kept.append((rows, cols, r2, g))
-        else:
-            w = kernel.value_from_sq(r2)
-        rho[rows] = w @ m[cols]
-    if y is x:
-        _slot = (x.copy(), kernel, cutoff, kept) if size <= _SLOT_ENTRIES else None
+        rho[rows] = kernel.value_from_sq(r2) @ m[cols]
     return rho
 
 
-def compute_accelerations(state, rho, fm, kernel, include_drag=True):
-    """Per-particle accelerations of the theta-parameterized scheme.
+def _density_and_blocks(x, m, kernel, cutoff):
+    """rho at x on its own cutoff, with the bits of :func:`compute_density`, and
+    the walk's blocks ``(rows, cols, r2, g)`` if it ran on ``cutoff`` and they fit."""
+    own = kernel.support_radius if _use_cells(kernel, x, None) else None
+    slot = [] if own == cutoff else None  # kept only for a pressure sum on the same cutoff
+    rho, size = np.zeros(x.shape[0]), 0
+    for rows, cols, r2 in _pair_blocks(x, x, own):
+        size += 2 * r2.size
+        if slot is not None and size <= _SLOT_ENTRIES:
+            w, g = kernel.value_and_grad_from_sq(r2)
+            slot.append((rows, cols, r2, g))
+        else:
+            slot, w = None, kernel.value_from_sq(r2)
+        rho[rows] = w @ m[cols]
+    return rho, slot
 
-    ``rho`` must come from :func:`compute_density` on the same state;
-    it is not read (and may be None) when ``fm.eos`` is None.  The pressure
-    sum takes the slot's blocks if they match, and empties the slot.
-    ``include_drag=False`` omits the -eta(x) v term (the integrator folds
-    drag into its half-kicks instead).  Returns an (n, d) array.
+
+def compute_accelerations(state, rho, fm, kernel, include_drag=True):
+    """Per-particle accelerations of the theta-parameterized scheme, (n, d).
+
+    ``rho`` is :func:`compute_density` of the same state, or None for a pressure
+    law to compute it in one walk whose blocks its pressure sum reuses (without
+    one, rho is not read).  ``include_drag=False`` leaves -eta v to the integrator.
     """
-    global _slot
+    if state.dim != kernel.dim:
+        raise ValueError(f"state dimension {state.dim} != kernel dimension {kernel.dim}")
     x, v, m = state.positions, state.velocities, state.masses
     cutoff = kernel.support_radius if _use_cells(kernel, x, fm.interaction) else None
-    blocks, F = _pair_blocks(x, x, cutoff), None
+    slot = F = None
     if fm.eos is not None:
+        if rho is None:
+            rho, slot = _density_and_blocks(x, m, kernel, cutoff)
         F = np.asarray(f_theta(fm.eos, fm.theta, rho), dtype=float)
-        slot, _slot = _slot, None
-        if slot and slot[1] is kernel and slot[2] == cutoff and np.array_equal(slot[0], x):
-            blocks = slot[3]
-
+    blocks = slot or _pair_blocks(x, x, cutoff)
     acc = _pair_accel(blocks, x, m, F, fm.theta, kernel, fm.interaction)
 
     if fm.v_ext is not None:
         acc -= fm.grad_v(x)
     if include_drag:
-        acc -= fm.eta_at(x) * v
+        acc -= fm.eta * v
     return acc
 
 

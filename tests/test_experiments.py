@@ -86,6 +86,16 @@ class TestStudy:
             assert all(rec.support_ok)
             assert all(np.diff(rec.support_radii) >= 0)
 
+    def test_morse_sup_norm_is_computed_once_per_study(self):
+        # each rung's support diagnostic needs sup |K| of the same interaction
+        from sphwass import MorseInteraction
+
+        MorseInteraction.sup_norm.cache_clear()
+        result = run_convergence_study(tiny_plan(family="morse_2d", eta=10.0))
+        assert all(rec.support_ok is not None for rec in result.runs)
+        info = MorseInteraction.sup_norm.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
     def test_theta0_has_no_diagnostic(self):
         result = run_convergence_study(tiny_plan(theta=0))
         assert all(rec.support_ok is None for rec in result.runs)

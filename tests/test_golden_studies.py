@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sphwass import ExperimentPlan, MorseInteraction, run_convergence_study
+from sphwass import ExperimentPlan, MorseInteraction, emit_report, run_convergence_study
 
 GOLDEN = Path(__file__).with_name("data") / "golden_studies.json"
 
@@ -41,7 +41,10 @@ PLANS = {
 
 
 def study_outputs(name):
-    result = run_convergence_study(ExperimentPlan(**PLANS[name]))
+    return outputs_of(run_convergence_study(ExperimentPlan(**PLANS[name])))
+
+
+def outputs_of(result):
     final = {
         str(rec.k): {
             "positions": rec.trajectory.states[-1].positions.tolist(),
@@ -72,15 +75,29 @@ def test_study_matches_frozen_outputs(name):
     assert_matches_golden(name, study_outputs(name))
 
 
-def test_morse_family_never_computes_density(monkeypatch):
-    # no pressure law reads rho, so the integrator must not compute it
-    import sphwass.integrator
+def test_morse_family_never_computes_density(monkeypatch, tmp_path):
+    # no pressure law reads rho, so integrating must not compute it; the
+    # report still writes its rho column
+    import sphwass.experiments
+    import sphwass.sph
 
-    def refuse(*args, **kwargs):
+    integrate = sphwass.experiments.run
+
+    def refuse(*args):
         raise AssertionError("density computed for a pressureless model")
 
-    monkeypatch.setattr(sphwass.integrator, "compute_density", refuse)
-    assert_matches_golden("morse_drag", study_outputs("morse_drag"))
+    def run_refusing_density(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(sphwass.sph, "_density_and_blocks", refuse)
+            patch.setattr(sphwass.sph, "_density_at", refuse)
+            return integrate(*args)
+
+    monkeypatch.setattr(sphwass.experiments, "run", run_refusing_density)
+    result = run_convergence_study(ExperimentPlan(**PLANS["morse_drag"]))
+    assert_matches_golden("morse_drag", outputs_of(result))
+    emit_report(result, tmp_path)
+    rho = np.loadtxt(tmp_path / "snapshots_k3.csv", delimiter=",", skiprows=1)[:, -1]
+    assert rho.shape == (2 * 64,) and (rho > 0).all()
 
 
 if __name__ == "__main__":

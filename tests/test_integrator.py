@@ -78,22 +78,6 @@ class TestStep:
         assert abs(state.velocities[0, 0]) <= 1.0
 
 
-    def test_constant_and_field_drag_give_the_same_bits(self, rng):
-        # a constant eta enters the half-kicks as a number, a field per
-        # particle; (0.5 dt) eta rounds the same either way
-        n = 9
-        state = ParticleState(np.full(n, 1.0 / n), rng.random((n, 2)), rng.random((n, 2)) - 0.5)
-        cfg = IntegratorConfig(dt=1e-2, t_end=0.2, snapshot_times=(0.1, 0.2))
-        runs = []
-        for eta in (3.7, lambda y: np.full(len(y), 3.7)):
-            fm = ForceModel(theta=1, eos=EosPolytropic(gamma=7.0), eta=eta,
-                            interaction=MorseInteraction())
-            runs.append(run(state, fm, WendlandCubic2D(0.3), cfg).states)
-        for a, b in zip(*runs):
-            assert a.positions.tobytes() == b.positions.tobytes()
-            assert a.velocities.tobytes() == b.velocities.tobytes()
-
-
 class TestHarmonicOscillator:
     FM = ForceModel(theta=1, v_ext=QuadraticPotential())
 

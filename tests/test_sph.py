@@ -52,6 +52,9 @@ class TestDensity:
         state = random_state_factory(8, 2)
         with pytest.raises(ValueError):
             compute_density(state, Gaussian1D(1.0))
+        for fm in (hydro_model(7.0, 1), ForceModel(theta=1, interaction=MorseInteraction())):
+            with pytest.raises(ValueError, match="dimension"):
+                compute_accelerations(state, None, fm, Gaussian1D(1.0))
 
 
 class TestAccelerations:
@@ -260,16 +263,10 @@ class TestPairBlocks:
                 assert r2.shape == plain.shape and r2.tobytes() == plain.tobytes()
 
 
-class _Untouchable:
-    """Stands in for the slot; any read of it fails."""
-
-    def __getitem__(self, i):
-        raise AssertionError("the slot was read")
-
-
 class TestBlockSlot:
-    """compute_density keeps its blocks for the pressure sum of
-    compute_accelerations on the same positions, kernel and cutoff."""
+    """compute_accelerations(state, None, ...) walks the pairs once for rho
+    and keeps the blocks, with their g, in its own slot for the pressure sum
+    when rho's cutoff is the acceleration's and the blocks fit."""
 
     @pytest.fixture(params=[1.0, 0.05], ids=["dense", "cells"])
     def setup(self, request, rng):
@@ -292,20 +289,37 @@ class TestBlockSlot:
         monkeypatch.setattr(sph, "_pair_blocks", counted)
         return calls
 
+    @staticmethod
+    def assert_is_the_reference(acc, state, fm, kernel):
+        # rho supplied: the plain density and a fresh pressure walk
+        ref = compute_accelerations(state, compute_density(state, kernel), fm, kernel)
+        assert acc.tobytes() == ref.tobytes()
+
     def test_pressure_sum_reuses_and_releases_the_blocks(self, setup, monkeypatch):
+        import gc
+        import weakref
+
         state, kernel, fm = setup
         calls = self.count_block_passes(monkeypatch)
-        rho = compute_density(state, kernel)
-        assert sph._slot is not None
-        acc = compute_accelerations(state, rho, fm, kernel)
-        assert len(calls) == 1
-        assert sph._slot is None
-        # the same evaluation with fresh blocks is bitwise identical
-        np.testing.assert_array_equal(acc, compute_accelerations(state, rho, fm, kernel))
-        assert len(calls) == 2
+        kept = []
+        value_and_grad = WendlandCubic2D.value_and_grad_from_sq
+
+        def watched(self, r2):
+            w, g = value_and_grad(self, r2)
+            kept.append(weakref.ref(g))
+            return w, g
+
+        monkeypatch.setattr(WendlandCubic2D, "value_and_grad_from_sq", watched)
+        acc = compute_accelerations(state, None, fm, kernel)
+        assert len(calls) == 1 and kept
+        gc.collect()
+        assert all(ref() is None for ref in kept)  # nothing outlives the call
+        monkeypatch.undo()
+        self.assert_is_the_reference(acc, state, fm, kernel)
 
     def test_slot_hit_does_no_kernel_work(self, setup, monkeypatch):
-        # the pressure sum takes g from the slot; a miss computes it from r2
+        # the pressure sum takes g from the walk's slot; a supplied rho
+        # computes it from r2
         state, kernel, fm = setup
         calls = []
 
@@ -320,58 +334,47 @@ class TestBlockSlot:
 
         for name in ("value_from_sq", "grad_scale_from_sq", "value_and_grad_from_sq"):
             count(name)
-        rho = compute_density(state, kernel)
+        acc = compute_accelerations(state, None, fm, kernel)
         assert set(calls) == {"value_and_grad_from_sq"}
         calls.clear()
-        compute_accelerations(state, rho, fm, kernel)
-        assert calls == []
-        compute_accelerations(state, rho, fm, kernel)
+        rho = compute_density(state, kernel)
+        assert set(calls) == {"value_from_sq"}
+        calls.clear()
+        assert compute_accelerations(state, rho, fm, kernel).tobytes() == acc.tobytes()
         assert set(calls) == {"grad_scale_from_sq"}
 
-    def test_positions_moved_in_place_get_fresh_blocks(self, setup):
-        state, kernel, fm = setup
-        rho = compute_density(state, kernel)
-        state.positions[::7] += 0.01
-        acc = compute_accelerations(state, rho, fm, kernel)
-        assert sph._slot is None
-        np.testing.assert_array_equal(acc, compute_accelerations(state, rho, fm, kernel))
-
-    def test_another_kernel_object_recomputes_the_blocks(self, setup, monkeypatch):
-        state, kernel, fm = setup
-        calls = self.count_block_passes(monkeypatch)
-        rho = compute_density(state, kernel)
-        compute_accelerations(state, rho, fm, WendlandCubic2D(kernel.h))
-        assert len(calls) == 2
-        assert sph._slot is None
-
-    def test_interaction_cutoff_recomputes_the_blocks(self, setup):
-        # the density may run on cells while the Morse sum needs all pairs
+    def test_interaction_cutoff_recomputes_the_blocks(self, setup, monkeypatch):
+        # rho may run on strips while the Morse sum needs all pairs
         state, kernel, _ = setup
         fm = ForceModel(theta=1, eos=EosPolytropic(gamma=7.0), interaction=MorseInteraction())
-        rho = compute_density(state, kernel)
-        acc = compute_accelerations(state, rho, fm, kernel)
-        np.testing.assert_array_equal(acc, compute_accelerations(state, rho, fm, kernel))
+        calls = self.count_block_passes(monkeypatch)
+        acc = compute_accelerations(state, None, fm, kernel)
+        on_strips = sph._use_cells(kernel, state.positions, None)
+        assert calls == ([kernel.support_radius, None] if on_strips else [None])
+        self.assert_is_the_reference(acc, state, fm, kernel)
 
     def test_blocks_beyond_the_slot_size_are_not_kept(self, setup, monkeypatch):
         state, kernel, fm = setup
+        calls = self.count_block_passes(monkeypatch)
         monkeypatch.setattr(sph, "_SLOT_ENTRIES", state.n)
-        rho = compute_density(state, kernel)
-        assert sph._slot is None
-        acc = compute_accelerations(state, rho, fm, kernel)
-        monkeypatch.undo()
-        rho = compute_density(state, kernel)
-        np.testing.assert_array_equal(acc, compute_accelerations(state, rho, fm, kernel))
+        acc = compute_accelerations(state, None, fm, kernel)
+        assert len(calls) == 2
+        self.assert_is_the_reference(acc, state, fm, kernel)
 
     def test_morse_run_never_reads_or_writes_the_slot(self, rng, monkeypatch):
+        # no pressure law: no density walk, one pair pass per evaluation
         from sphwass import IntegratorConfig, run
 
-        untouchable = _Untouchable()
-        monkeypatch.setattr(sph, "_slot", untouchable)
+        def refuse(*args):
+            raise AssertionError("density walked for a pressureless model")
+
+        monkeypatch.setattr(sph, "_density_and_blocks", refuse)
+        calls = self.count_block_passes(monkeypatch)
         n = 300
         state = ParticleState(normalized(np.ones(n)), rng.random((n, 2)), np.zeros((n, 2)))
         fm = ForceModel(theta=1, eos=None, eta=1.0, interaction=MorseInteraction())
         run(state, fm, WendlandCubic2D(0.05), IntegratorConfig(dt=1e-3, t_end=3e-3))
-        assert sph._slot is untouchable
+        assert calls == [None] * 4
 
 
 def direct_sq_dists(y, x, *_):
