@@ -70,8 +70,11 @@ def f_theta(eos, theta, rho):
 
 
 def _smoothstep(u):
-    """Quintic smoothstep s(u) = u^3 (10 - 15 u + 6 u^2) on [0, 1]."""
-    return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
+    """Quintic smoothstep u * u * u * (10.0 + u * (-15.0 + 6.0 * u)) on [0, 1], in place."""
+    p = 6.0 * u - 15.0
+    p *= u
+    p += 10.0
+    return u * u * u * p
 
 
 @dataclass(frozen=True)
@@ -100,20 +103,16 @@ class MorseInteraction:
     def u_prime(self, r):
         """Radial derivative of the (untapered) potential."""
         r = np.asarray(r, dtype=float)
-        return (self.c_a / self.l_a) * np.exp(-r / self.l_a) - (
-            self.c_r / self.l_r
-        ) * np.exp(-r / self.l_r)
+        du = np.exp(r / -self.l_a) * (self.c_a / self.l_a)
+        du -= np.exp(r / -self.l_r) * (self.c_r / self.l_r)
+        return du
 
     def force_scale(self, r):
         """Scalar c(r) such that K(x) = c(|x|) * x, with c(0) = 0."""
         r = np.asarray(r, dtype=float)
-        c = np.asarray(self.u_prime(r))
-        np.negative(c, out=c)
-        near = r < self.r_cut  # the taper is 1.0 elsewhere, and x * 1.0 == x
-        c[near] *= _smoothstep(r[near] / self.r_cut)
-        pos = r > 0.0
-        np.divide(c, r, out=c, where=pos)
-        c[~pos] = 0.0
+        c = np.asarray(-self.u_prime(r))
+        c *= _smoothstep(np.minimum(r, self.r_cut) / self.r_cut)  # s(1) == 1.0 exactly
+        c /= np.maximum(r, 1e-300)  # c(0) = 0: the taper is 0 there
         return c
 
     def force(self, x):

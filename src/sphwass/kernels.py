@@ -20,9 +20,10 @@ Two families are provided:
   explicitly to reproduce that convention.)
 
 Both kernels are nonnegative, even, and integrate to one; gradients are
-analytic and vanish at the origin.  ``value_and_grad_from_sq`` gives both
-from one radial evaluation, bitwise as ``value_from_sq`` and
-``grad_scale_from_sq``.  Instances are immutable and safe for concurrent reads.
+analytic and vanish at the origin.  ``shapes`` gives the unscaled value and
+gradient shapes w and g at u^2 = r^2 / h^2 from one radial evaluation, with
+W = norm_const w and grad W(x) = grad_const g x: the pair sums apply the
+constants to their n-row results.  Instances are immutable and thread-safe.
 """
 
 import numpy as np
@@ -71,19 +72,19 @@ class Gaussian1D(_Radial):
     def __init__(self, h):
         self.h = _smoothing_length(h)
         self.norm_const = 1.0 / (self.h * SQRT_PI)
+        self.grad_const = -2.0 * self.norm_const / (self.h * self.h)
 
     def value_from_sq(self, r2):
         """Kernel value as a function of squared distance."""
-        r2 = np.asarray(r2, dtype=float)
-        return self.norm_const * np.exp(-r2 / (self.h * self.h))
+        return self.norm_const * self.shapes(np.asarray(r2, dtype=float) / (self.h * self.h))[0]
 
     def grad_scale_from_sq(self, r2):
         """Scalar g(r^2) such that grad W(x) = g(|x|^2) * x."""
-        return self.value_and_grad_from_sq(r2)[1]
+        return self.grad_const * self.shapes(np.asarray(r2, dtype=float) / (self.h * self.h))[1]
 
-    def value_and_grad_from_sq(self, r2):
-        w = self.value_from_sq(r2)
-        return w, -2.0 * w / (self.h * self.h)
+    def shapes(self, u2):
+        """Value and gradient shapes at u^2 = r^2 / h^2: exp(-u^2), one array for both."""
+        return (np.exp(-u2),) * 2
 
     def peak_value(self):
         """sup W = W(0)."""
@@ -120,44 +121,31 @@ class WendlandCubic2D(_Radial):
         if norm_const is None:
             norm_const = 1.0 / (_WENDLAND_SHAPE_INTEGRAL * self.h * self.h)
         self.norm_const = float(norm_const)
+        self.grad_const = -6.0 * self.norm_const / (self.h * self.h)
 
     @property
     def support_radius(self):
         return 2.0 * self.h
 
     def value_from_sq(self, r2):
-        return self._value(*self._q_t(r2))
+        """Kernel value as a function of squared distance."""
+        return self.norm_const * self.shapes(np.asarray(r2, dtype=float) / (self.h * self.h))[0]
 
     def grad_scale_from_sq(self, r2):
-        """Scalar g(r^2) such that grad W(x) = g(|x|^2) * x.
+        """Scalar g(r^2) = -6 sigma (2 - r/h)^2 / h^2 such that grad W(x) = g(|x|^2) * x."""
+        return self.grad_const * self.shapes(np.asarray(r2, dtype=float) / (self.h * self.h))[1]
 
-        dW/dr = -6 sigma r (2 - r/h)^2 / h^2, so g = -6 sigma (2-q)^2 / h^2
-        with no singularity at the origin.
-        """
-        return self._grad_scale(self._q_t(r2)[1])
-
-    def value_and_grad_from_sq(self, r2):
-        q, t = self._q_t(r2)
-        return self._value(q, t), self._grad_scale(t)
-
-    def _q_t(self, r2):
-        q = np.sqrt(np.asarray(r2, dtype=float))
-        q /= self.h
-        return q, np.maximum(2.0 - q, 0.0)
-
-    def _value(self, q, t):  # sigma (1 + 1.5 q) t t t, over q
+    def shapes(self, u2):
+        """Value and gradient shapes (1 + 1.5 q) t^3 and t^2 at u^2 = r^2 / h^2,
+        with q = u and t = max(2 - q, 0), from one sqrt and worked in place."""
+        q = np.sqrt(u2)
+        t = np.maximum(2.0 - q, 0.0)
         q *= 1.5
         q += 1.0
-        q *= self.norm_const
-        for _ in range(3):
-            q *= t
-        return q
-
-    def _grad_scale(self, t):
-        g = t * (-6.0 * self.norm_const)
-        g *= t
-        g /= self.h * self.h
-        return g
+        q *= t
+        t *= t
+        q *= t
+        return q, t
 
     def peak_value(self):
         return 8.0 * self.norm_const

@@ -17,14 +17,14 @@ cutoff along x_0 against its neighbor strips.  The input alone picks
 between the two: :func:`_use_cells` takes strips when the kernel's
 support is small against the cloud's extent along x_0.  Pairs beyond the
 support need no mask, since both kernels return exact zeros there.
-Blocks come in a fixed order, so results are bitwise reproducible, and are
-worked in place in the order of the plain expressions.  One evaluation owns
-its blocks: :func:`compute_accelerations` walks the pairs once for rho and
-keeps each block with its gradient scales g in a local slot for the
-pressure sum, so it does its pair and kernel work once.  The module holds
-no state between calls.  :class:`ParticleState` snapshots are never
-mutated.  Importing the module tunes glibc's allocator so that the engine's
-block temporaries are reused (:func:`_keep_freed_blocks`).
+A walk runs in units of h relative to its first source, so results are
+invariant under translation.  A block's squared distances are one matrix
+product, and each pair sum one more, whose n rows take the kernel constants
+and F(rho_k).  Blocks come in a fixed order, so results are bitwise
+reproducible.  :func:`compute_accelerations` walks the pairs once for rho
+and keeps the blocks with their gradient shapes for the pressure sum; the
+module holds no state.  Importing it tunes glibc's allocator so that block
+temporaries are reused (:func:`_keep_freed_blocks`).
 """
 
 import ctypes
@@ -51,7 +51,7 @@ __all__ = [
 # _BLOCK * n doubles per intermediate matrix.
 _BLOCK = 512
 
-_SLOT_ENTRIES = 2**22  # squared distances plus gradient scales one evaluation keeps: 32 MB
+_SLOT_ENTRIES = 2**22  # squared distances plus gradient shapes one evaluation keeps: 32 MB
 
 # glibc mallopt parameters
 _M_TRIM_THRESHOLD = -1
@@ -61,14 +61,12 @@ _M_MMAP_THRESHOLD = -3
 def _keep_freed_blocks():
     """Keep freed pair blocks in the heap instead of handing them back.
 
-    Every force evaluation allocates several ``_BLOCK`` x n temporaries.
-    By default glibc returns them to the kernel after each evaluation
-    (its trim threshold is only twice the largest block it has mapped),
-    so the next evaluation page-faults them in again.  For a dense
-    256-particle study on a 2-vCPU Xeon that was 146k minor faults and
-    about half of the run time.  Here blocks up to 32 MB come from the
-    heap and up to 64 MB of freed heap stays mapped; peak memory is
-    unchanged.  Without glibc's ``mallopt`` this does nothing.
+    By default glibc returns each evaluation's ``_BLOCK`` x n temporaries to
+    the kernel (its trim threshold is only twice the largest block it has
+    mapped), and the next evaluation page-faults them in again: 146k minor
+    faults and half the run time of a dense 256-particle study on a 2-vCPU
+    Xeon.  Here blocks up to 32 MB come from the heap and up to 64 MB of freed
+    heap stays mapped; peak memory is unchanged.  Without ``mallopt``, a no-op.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -131,18 +129,6 @@ class ParticleState:
         )
 
 
-def _pairwise_sq_dists(x_block, x_all, sq_block, sq_all):
-    """Squared distances |x_k - x_i|^2 via the inner-product expansion.
-
-    Diagonal entries are exactly zero; cancellation noise is clipped at 0.
-    """
-    r2 = np.repeat(sq_block[:, None], len(sq_all), axis=1)  # faster than broadcasting
-    r2 += sq_all
-    r2 -= 2.0 * (x_block @ x_all.T)  # numpy's syrk for x @ x.T; a GEMM changes bits
-    np.maximum(r2, 0.0, out=r2)
-    return r2
-
-
 def compute_density(state, kernel):
     """Summation density rho_i = sum_j m_j W_h(x_i - x_j), self-term included,
     as an (n,) array: the reference for the rho of :func:`compute_accelerations`."""
@@ -153,29 +139,25 @@ def compute_density(state, kernel):
 
 def _density_at(y, state, kernel):
     """Regularized density sum_j m_j W_h(y_k - x_j) of ``state`` at points y."""
-    x, m = state.positions, state.masses
-    cutoff = kernel.support_radius if _use_cells(kernel, x, None) else None
-    rho = np.zeros(y.shape[0])
-    for rows, cols, r2 in _pair_blocks(y, x, cutoff):
-        rho[rows] = kernel.value_from_sq(r2) @ m[cols]
-    return rho
+    x = state.positions
+    cutoff = kernel.support_radius / kernel.h if _use_cells(kernel, x, None) else None
+    return _density_and_blocks(*_walk_coords(y, x, kernel.h), state.masses, kernel, cutoff)
 
 
-def _density_and_blocks(x, m, kernel, cutoff):
-    """rho at x on its own cutoff, with the bits of :func:`compute_density`, and
-    the walk's blocks ``(rows, cols, r2, g)`` if it ran on ``cutoff`` and they fit."""
-    own = kernel.support_radius if _use_cells(kernel, x, None) else None
-    slot = [] if own == cutoff else None  # kept only for a pressure sum on the same cutoff
-    rho, size = np.zeros(x.shape[0]), 0
-    for rows, cols, r2 in _pair_blocks(x, x, own):
-        size += 2 * r2.size
+def _density_and_blocks(ys, xs, m, kernel, cutoff, slot=None):
+    """rho at ``ys`` from the walk on ``cutoff``, in walk coordinates, keeping its blocks
+    ``(rows, cols, u2, g)`` in ``slot``, if given, unless they pass ``_SLOT_ENTRIES``."""
+    rho, size = np.zeros(ys.shape[0]), 0
+    for rows, cols, u2 in _pair_blocks(ys, xs, cutoff):
+        w, g = kernel.shapes(u2)
+        size += 2 * u2.size
         if slot is not None and size <= _SLOT_ENTRIES:
-            w, g = kernel.value_and_grad_from_sq(r2)
-            slot.append((rows, cols, r2, g))
-        else:
-            slot, w = None, kernel.value_from_sq(r2)
+            slot.append((rows, cols, u2, g))
+        elif slot:
+            slot.clear()
         rho[rows] = w @ m[cols]
-    return rho, slot
+    rho *= kernel.norm_const
+    return rho
 
 
 def compute_accelerations(state, rho, fm, kernel, include_drag=True):
@@ -188,14 +170,16 @@ def compute_accelerations(state, rho, fm, kernel, include_drag=True):
     if state.dim != kernel.dim:
         raise ValueError(f"state dimension {state.dim} != kernel dimension {kernel.dim}")
     x, v, m = state.positions, state.velocities, state.masses
-    cutoff = kernel.support_radius if _use_cells(kernel, x, fm.interaction) else None
-    slot = F = None
+    xs = _walk_coords(x, x, kernel.h)[1]
+    cutoff = kernel.support_radius / kernel.h if _use_cells(kernel, x, fm.interaction) else None
+    slot, F = [], None
     if fm.eos is not None:
         if rho is None:
-            rho, slot = _density_and_blocks(x, m, kernel, cutoff)
+            own = kernel.support_radius / kernel.h if _use_cells(kernel, x, None) else None
+            rho = _density_and_blocks(xs, xs, m, kernel, own, slot if own == cutoff else None)
         F = np.asarray(f_theta(fm.eos, fm.theta, rho), dtype=float)
-    blocks = slot or _pair_blocks(x, x, cutoff)
-    acc = _pair_accel(blocks, x, m, F, fm.theta, kernel, fm.interaction)
+    blocks = slot or _pair_blocks(xs, xs, cutoff)
+    acc = _pair_accel(blocks, xs, m, F, fm.theta, kernel, fm.interaction)
 
     if fm.v_ext is not None:
         acc -= fm.grad_v(x)
@@ -204,26 +188,34 @@ def compute_accelerations(state, rho, fm, kernel, include_drag=True):
     return acc
 
 
-def _pair_accel(blocks, x, m, F, theta, kernel, interaction):
-    """Pressure and interaction pair sums over ``blocks`` of ``x`` against itself.
-
-    Within a block the pair sum  -sum_i w_ki (x_k - x_i)  is folded into
-    two matrix products: (w @ x) - x_k * rowsum(w).
-    """
-    acc = np.zeros_like(x)
-    for rows, cols, r2, *kept_g in blocks:  # the slot's blocks carry g
-        xr, xc, mc = x[rows], x[cols], m[cols]
+def _pair_accel(blocks, xs, m, F, theta, kernel, interaction):
+    """Pressure and interaction pair sums over ``blocks`` of the walk
+    coordinates ``xs``.  sum_i w_ki c_i (x_k - x_i) = x_k (w @ c)_k - (w @ c x)_k,
+    so a block makes one product with the columns [m, m x], plus [m F, m F x]
+    for the theta = 1 pressure weights g_ki (F_k + F_i)."""
+    n, d = xs.shape
+    src = np.empty((n, 2 * d + 2))  # [m, m x, m F, m F x]
+    src[:, 0] = m
+    np.multiply(m[:, None], xs, out=src[:, 1:d + 1])
+    press, inter = np.empty((n, (d + 1) * (1 + theta))), np.empty((n, d + 1))
+    if F is not None:
+        np.multiply(src[:, :d + 1], F[:, None], out=src[:, d + 1:])
+    for rows, cols, u2, *kept_g in blocks:  # the slot's blocks carry g
         if F is not None:
-            g = kept_g[0] if kept_g else kernel.grad_scale_from_sq(r2)
-            pw = np.repeat(F[rows, None], len(mc), axis=1)
-            pw += theta * F[cols]
-            pw *= mc[None, :]
-            pw *= g
-            acc[rows] += pw @ xc - xr * pw.sum(axis=1)[:, None]
+            g = kept_g[0] if kept_g else kernel.shapes(u2)[1]
+            press[rows] = g @ src[cols, :press.shape[1]]
         if interaction is not None:
-            c = interaction.force_scale(np.sqrt(r2))
-            c *= mc[None, :]
-            acc[rows] += xr * c.sum(axis=1)[:, None] - c @ xc
+            r = np.sqrt(u2, out=u2)  # the block is not read again
+            r *= kernel.h
+            inter[rows] = interaction.force_scale(r) @ src[cols, :d + 1]
+    acc = np.zeros_like(xs)
+    if F is not None:
+        acc = (xs * press[:, :1] - press[:, 1:d + 1]) * F[:, None]
+        if theta:
+            acc += xs * press[:, d + 1:d + 2] - press[:, d + 2:]
+        acc *= -kernel.h * kernel.grad_const
+    if interaction is not None:
+        acc += kernel.h * (xs * inter[:, :1] - inter[:, 1:])
     return acc
 
 
@@ -250,6 +242,10 @@ def _pair_blocks(y, x, cutoff=None):
     """Yield ``(rows, cols, r2)``: squared distances from the targets
     ``y[rows]`` to the sources ``x[cols]``, each target in exactly one block.
 
+    A block is the product of a = [|y|^2, 1, -2 y] and b = [1, |x|^2, x]^T,
+    built once per walk (:func:`_sq_dists`); in walk coordinates it rounds
+    with about eps times the cloud's squared extent.
+
     Without a cutoff the blocks are ``_BLOCK`` targets against all sources.
     With one, the sources are sorted stably by their strip floor(x_0 / cutoff)
     and the targets of strip s, ``_BLOCK`` at a time, meet strips s-1..s+1,
@@ -257,12 +253,18 @@ def _pair_blocks(y, x, cutoff=None):
     index-sort neighbor search of Ihmsen et al. (Eurographics STAR 2014)
     along one axis.
     """
-    sq_x = np.einsum("id,id->i", x, x)
-    sq_y = sq_x if y is x else np.einsum("id,id->i", y, y)
+    d = x.shape[1]
+    b = np.empty((d + 2, x.shape[0]))
+    b[0], b[2:] = 1.0, x.T
+    np.einsum("id,id->i", x, x, out=b[1])
+    a = np.empty((y.shape[0], d + 2))
+    a[:, 0] = b[1] if y is x else np.einsum("id,id->i", y, y)
+    a[:, 1] = 1.0
+    np.multiply(y, -2.0, out=a[:, 2:])
     if cutoff is None:
         for s in range(0, y.shape[0], _BLOCK):
             rows = slice(s, s + _BLOCK)
-            yield rows, slice(None), _pairwise_sq_dists(y[rows], x, sq_y[rows], sq_x)
+            yield rows, slice(None), _sq_dists(a[rows], b)
         return
     strip_x, strip_y = np.floor(x[:, 0] / cutoff), np.floor(y[:, 0] / cutoff)
     sources, targets = np.argsort(strip_x, kind="stable"), np.argsort(strip_y, kind="stable")
@@ -270,17 +272,27 @@ def _pair_blocks(y, x, cutoff=None):
     for s in np.unique(strip_y):
         strip = targets[np.searchsorted(strip_y, s):np.searchsorted(strip_y, s, "right")]
         cols = sources[np.searchsorted(strip_x, s - 1.0):np.searchsorted(strip_x, s + 1.0, "right")]
-        for b in range(0, len(strip), _BLOCK):
-            rows = strip[b:b + _BLOCK]
-            yield rows, cols, _pairwise_sq_dists(y[rows], x[cols], sq_y[rows], sq_x[cols])
+        b_cols = b[:, cols]
+        for k in range(0, len(strip), _BLOCK):
+            rows = strip[k:k + _BLOCK]
+            yield rows, cols, _sq_dists(a[rows], b_cols)
+
+
+def _walk_coords(y, x, h):
+    """``y`` and ``x`` relative to the first source, in units of h: the coordinates of a walk."""
+    xs = (x - x[:1]) / h
+    return (xs if y is x else (y - x[:1]) / h), xs
+
+
+def _sq_dists(a, b):
+    """A block's squared distances from the factors of :func:`_pair_blocks`."""
+    r2 = a @ b
+    return np.maximum(r2, 0.0, out=r2)  # clip the cancellation noise
 
 
 def _use_cells(kernel, x, interaction):
-    """Whether the pair sums over the sources ``x`` run on strips.
-
-    Strips need a compact kernel and no interaction, whose support is
-    unbounded.
-    """
+    """Whether the pair sums over the sources ``x`` run on strips, which need a
+    compact kernel and no interaction, whose support is unbounded."""
     if interaction is not None or not np.isfinite(kernel.support_radius):
         return False
     # strips only pay off once several strips span the cloud along x_0

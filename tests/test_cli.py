@@ -179,21 +179,21 @@ class TestVerifyCommand:
         assert "FAIL" not in out
 
     def test_injected_gradient_asymmetry_fails_momentum_check(self, monkeypatch, capsys):
-        # mutation harness: flip the sign of grad W for half of the pair
-        # evaluations, destroying the pairwise antisymmetry.  The pressure
-        # sum takes its gradient scales from the density pass, so the
-        # mutation goes there.
+        # mutation harness: flip the sign of the gradient shape for half of
+        # the pair evaluations, destroying the pairwise antisymmetry.  The
+        # pressure sum takes its gradient shapes from the density pass, so
+        # the mutation goes into the one shape evaluation.
         from sphwass.kernels import WendlandCubic2D
 
-        original = WendlandCubic2D.value_and_grad_from_sq
+        original = WendlandCubic2D.shapes
 
-        def corrupted(self, r2):
-            w, g = original(self, r2)
+        def corrupted(self, u2):
+            w, g = original(self, u2)
             g = np.atleast_2d(np.asarray(g, dtype=float).copy())
             g[:, ::2] *= -1.0
             return w, g
 
-        monkeypatch.setattr(WendlandCubic2D, "value_and_grad_from_sq", corrupted)
+        monkeypatch.setattr(WendlandCubic2D, "shapes", corrupted)
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         momentum_line = [l for l in out.splitlines() if "momentum" in l][0]

@@ -244,23 +244,18 @@ class TestPairBlocks:
 
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_sq_dists_keep_the_bits_of_the_plain_expansion(self, dim, rng):
-        # the blocks are built in place; every n from 1 to 600 in steps of 7
-        # meets each residue mod 8, where BLAS kernels change, and n <= 512
-        # puts all of x against its own transpose (numpy's syrk)
-        from sphwass.sph import _BLOCK, _pairwise_sq_dists
-
+    def test_sq_dists_round_with_the_extent_not_the_position(self, dim, rng):
+        # every n from 1 to 600 in steps of 7 meets each residue mod 8, where
+        # BLAS kernels change, and n > 512 takes two blocks; in walk
+        # coordinates a cloud 1e4 extents from the origin rounds as one at it
         for n in range(1, 601, 7):
             x = (rng.random((n, dim)) * 4.0 - 1.2) * rng.choice([1.0, 30.0])
-            sq = np.einsum("id,id->i", x, x)
-            for rows in (slice(None), slice(0, _BLOCK), slice(_BLOCK, None), slice(1, None, 3)):
-                xb, sqb = x[rows], sq[rows]
-                if rows == slice(None):
-                    xb = x
-                plain = sqb[:, None] + sq[None, :] - 2.0 * (xb @ x.T)
-                np.maximum(plain, 0.0, out=plain)
-                r2 = _pairwise_sq_dists(xb, x, sqb, sq)
-                assert r2.shape == plain.shape and r2.tobytes() == plain.tobytes()
+            x += rng.choice([0.0, 1e4]) * np.ptp(x)
+            ys, xs = sph._walk_coords(x, x, 1.0)
+            r2 = np.vstack([b for _, _, b in sph._pair_blocks(ys, xs)])
+            extent2 = (np.ptp(x, axis=0) ** 2).sum()
+            error = np.abs(r2 - direct_sq_dists(x, x)).max()
+            assert error <= 4.0 * np.finfo(float).eps * extent2
 
 
 class TestBlockSlot:
@@ -302,14 +297,14 @@ class TestBlockSlot:
         state, kernel, fm = setup
         calls = self.count_block_passes(monkeypatch)
         kept = []
-        value_and_grad = WendlandCubic2D.value_and_grad_from_sq
+        shapes = WendlandCubic2D.shapes
 
-        def watched(self, r2):
-            w, g = value_and_grad(self, r2)
+        def watched(self, u2):
+            w, g = shapes(self, u2)
             kept.append(weakref.ref(g))
             return w, g
 
-        monkeypatch.setattr(WendlandCubic2D, "value_and_grad_from_sq", watched)
+        monkeypatch.setattr(WendlandCubic2D, "shapes", watched)
         acc = compute_accelerations(state, None, fm, kernel)
         assert len(calls) == 1 and kept
         gc.collect()
@@ -318,30 +313,32 @@ class TestBlockSlot:
         self.assert_is_the_reference(acc, state, fm, kernel)
 
     def test_slot_hit_does_no_kernel_work(self, setup, monkeypatch):
-        # the pressure sum takes g from the walk's slot; a supplied rho
-        # computes it from r2
+        # one shape evaluation per block walked: the pressure sum takes g
+        # from the walk's slot, and a supplied rho walks afresh for g
         state, kernel, fm = setup
-        calls = []
+        calls, blocks = [], []
+        shapes, engine = WendlandCubic2D.shapes, sph._pair_blocks
 
-        def count(name):
-            method = getattr(WendlandCubic2D, name)
+        def counted_shapes(self, u2):
+            calls.append(u2.shape)
+            return shapes(self, u2)
 
-            def counted(self, r2):
-                calls.append(name)
-                return method(self, r2)
+        def counted_blocks(y, x, cutoff=None):
+            for block in engine(y, x, cutoff):
+                blocks.append(block[2].shape)
+                yield block
 
-            monkeypatch.setattr(WendlandCubic2D, name, counted)
-
-        for name in ("value_from_sq", "grad_scale_from_sq", "value_and_grad_from_sq"):
-            count(name)
+        monkeypatch.setattr(WendlandCubic2D, "shapes", counted_shapes)
+        monkeypatch.setattr(sph, "_pair_blocks", counted_blocks)
         acc = compute_accelerations(state, None, fm, kernel)
-        assert set(calls) == {"value_and_grad_from_sq"}
-        calls.clear()
+        walked = list(blocks)
+        assert calls == walked and walked
+        calls.clear(), blocks.clear()
         rho = compute_density(state, kernel)
-        assert set(calls) == {"value_from_sq"}
-        calls.clear()
+        assert calls == blocks == walked  # the density walk alone
+        calls.clear(), blocks.clear()
         assert compute_accelerations(state, rho, fm, kernel).tobytes() == acc.tobytes()
-        assert set(calls) == {"grad_scale_from_sq"}
+        assert calls == blocks == walked
 
     def test_interaction_cutoff_recomputes_the_blocks(self, setup, monkeypatch):
         # rho may run on strips while the Morse sum needs all pairs
@@ -350,7 +347,8 @@ class TestBlockSlot:
         calls = self.count_block_passes(monkeypatch)
         acc = compute_accelerations(state, None, fm, kernel)
         on_strips = sph._use_cells(kernel, state.positions, None)
-        assert calls == ([kernel.support_radius, None] if on_strips else [None])
+        width = kernel.support_radius / kernel.h  # the cutoff in walk coordinates
+        assert calls == ([width, None] if on_strips else [None])
         self.assert_is_the_reference(acc, state, fm, kernel)
 
     def test_blocks_beyond_the_slot_size_are_not_kept(self, setup, monkeypatch):
@@ -443,15 +441,18 @@ class TestCellListEquivalence:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_paths_agree_on_random_clouds(self, n, h, extent, theta, seed):
-        # r2 = |y|^2 + |x|^2 - 2 y.x rounds with the BLAS kernel that the
-        # block's shape selects, by up to about eps |x|^2 on either path, and
-        # W moves by that over h^2: the paths differ by up to 1e-11 in rho
-        # for |x|/h near 200.  Direct differences round the same in any
-        # block, so only the blocks and the summation order are compared.
+        # the product r2 = |y|^2 + |x|^2 - 2 y.x rounds with the BLAS kernel
+        # that the block's shape selects, by up to about eps (extent/h)^2 in
+        # walk coordinates on either path: beyond 1e-13 in rho for extent/h
+        # near 800.  Direct differences of the factors' coordinates round the
+        # same in any block, so only the blocks and the summation order are
+        # compared.
         state, kernel = random_cloud(n, h, extent, seed)
         fm = hydro_model(7.0, theta)
         with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setattr(sph, "_pairwise_sq_dists", direct_sq_dists)
+            monkeypatch.setattr(
+                sph, "_sq_dists", lambda a, b: direct_sq_dists(-0.5 * a[:, 2:], b[2:].T)
+            )
             rho, acc = {}, {}
             for cells in (False, True):
                 monkeypatch.setattr(sph, "_use_cells", lambda kernel, x, interaction: cells)
@@ -496,6 +497,30 @@ class TestCellListEquivalence:
         x = rng.random((2048, 2)) * [0.3, 20.0]
         assert not sph._use_cells(WendlandCubic2D(0.5), x, None)
         assert sph._use_cells(WendlandCubic2D(0.5), x[:, ::-1], None)
+
+
+class TestTranslationInvariance:
+    @pytest.mark.parametrize("theta", [0, 1])
+    @pytest.mark.parametrize("cells", [False, True], ids=["dense", "strips"])
+    @pytest.mark.parametrize("h", [1.0, 0.2])
+    def test_shifted_cloud_has_the_same_rho_and_accelerations(self, h, cells, theta, rng,
+                                                              monkeypatch):
+        # a dyadic grid shifted by a power of two moves exactly, so each walk
+        # sees the same coordinates
+        n = 300
+        x = rng.integers(0, 3 * 2**20, size=(n, 2)) * 2.0**-20
+        masses = normalized(rng.random(n) + 0.1)
+        kernel, fm = WendlandCubic2D(h), hydro_model(7.0, theta)
+        monkeypatch.setattr(sph, "_use_cells", lambda kernel, x, interaction: cells)
+        results = []
+        for shift in (0.0, 2.0**7, 2.0**13):
+            state = ParticleState(masses, x + shift, np.zeros((n, 2)))
+            results.append((compute_density(state, kernel),
+                            compute_accelerations(state, None, fm, kernel)))
+        (rho, acc), shifted = results[0], results[1:]
+        for rho_s, acc_s in shifted:
+            np.testing.assert_allclose(rho_s, rho, rtol=1e-13, atol=0.0)
+            assert np.abs(acc_s - acc).max() <= 1e-13 * np.abs(acc).max()
 
 
 class TestSupportDiagnostic:
