@@ -70,7 +70,7 @@ def f_theta(eos, theta, rho):
 
 
 def _smoothstep(u):
-    """Quintic smoothstep u * u * u * (10.0 + u * (-15.0 + 6.0 * u)) on [0, 1], in place."""
+    """Quintic smoothstep s(u) = u^3 (10 - 15 u + 6 u^2) on [0, 1], the polynomial in place."""
     p = 6.0 * u - 15.0
     p *= u
     p += 10.0

@@ -197,7 +197,7 @@ def _pair_accel(blocks, xs, m, F, theta, kernel, interaction):
     src = np.empty((n, 2 * d + 2))  # [m, m x, m F, m F x]
     src[:, 0] = m
     np.multiply(m[:, None], xs, out=src[:, 1:d + 1])
-    press, inter = np.empty((n, (d + 1) * (1 + theta))), np.empty((n, d + 1))
+    press, inter = np.empty((n, (d + 1) * (2 if theta else 1))), np.empty((n, d + 1))
     if F is not None:
         np.multiply(src[:, :d + 1], F[:, None], out=src[:, d + 1:])
     for rows, cols, u2, *kept_g in blocks:  # the slot's blocks carry g

@@ -89,6 +89,15 @@ class TestAccelerations:
             scale = np.abs(a1).max()
             assert np.abs(a0 - a1).max() <= 1e-12 * max(scale, 1e-30)
 
+    @pytest.mark.parametrize("theta", [0, 1])
+    def test_float_theta_evaluates_as_the_integer(self, theta, random_state_factory):
+        # ForceModel and the config accept 1.0 for 1, since 1.0 in (0, 1)
+        state = random_state_factory(40, 2)
+        kernel = WendlandCubic2D(0.8)
+        expected = compute_accelerations(state, None, hydro_model(7.0, theta), kernel)
+        acc = compute_accelerations(state, None, hydro_model(7.0, float(theta)), kernel)
+        np.testing.assert_array_equal(acc, expected)
+
     def test_theta1_momentum_closure_every_evaluation(self, random_state_factory):
         # Newton's-third-law structure: sum m_k a_k = 0 with only pressure on
         for trial in range(20):
