@@ -10,21 +10,19 @@ with the regularized density rho_k = sum_j m_j W_h(x_k - x_j) (the j = k
 self-term included).  The i = k pressure term vanishes because
 grad W_h(0) = 0, and the i = k interaction term because K(0) = 0.
 
-Both pair sums run on one engine, :func:`_pair_blocks`, which yields
-squared distances block by block, at most ``_BLOCK`` targets each: dense
-row blocks against every particle, or the targets of each strip of width
-cutoff along x_0 against its neighbor strips.  The input alone picks
-between the two: :func:`_use_cells` takes strips when the kernel's
-support is small against the cloud's extent along x_0.  Pairs beyond the
-support need no mask, since both kernels return exact zeros there.
-A walk runs in units of h relative to its first source, so results are
-invariant under translation.  A block's squared distances are one matrix
-product, and each pair sum one more, whose n rows take the kernel constants
-and F(rho_k).  Blocks come in a fixed order, so results are bitwise
-reproducible.  :func:`compute_accelerations` walks the pairs once for rho
-and keeps the blocks with their gradient shapes for the pressure sum; the
-module holds no state.  Importing it tunes glibc's allocator so that block
-temporaries are reused (:func:`_keep_freed_blocks`).
+Both pair sums run on one walk, :func:`_pair_blocks`: ``_BLOCK`` consecutive
+targets against the sources within the cutoff along x_0, the particles sorted
+once along x_0 (the index-sort neighbor search of Ihmsen et al., Eurographics
+STAR 2014, on one axis), or against all sources (:func:`_band`).  A block's
+tail, the sources past its targets, gives the transposed sums too, so only
+pairs within a block are evaluated twice.  Beyond the support both kernels
+return exact zeros.  A walk runs in units of h relative to its first source,
+so results are invariant under translation.  Squared distances are one matrix
+product per block, and each pair sum one more, whose n rows take the kernel
+constants and F(rho_k).  Blocks come in a fixed order, so results are bitwise
+reproducible.  :func:`compute_accelerations` walks the pairs once for rho and
+keeps the blocks with their gradient shapes for the pressure sum; the module
+holds no state.  Importing it tunes glibc's allocator to reuse block temporaries.
 """
 
 import ctypes
@@ -47,35 +45,26 @@ __all__ = [
     "check_support",
 ]
 
-# Most targets in one dense or strip block: bounds peak memory at roughly
-# _BLOCK * n doubles per intermediate matrix.
-_BLOCK = 512
+_BLOCK = 128  # most targets in one block: about _BLOCK * n doubles per temporary
 
 _SLOT_ENTRIES = 2**22  # squared distances plus gradient shapes one evaluation keeps: 32 MB
 
-# glibc mallopt parameters
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
 
 def _keep_freed_blocks():
-    """Keep freed pair blocks in the heap instead of handing them back.
-
-    By default glibc returns each evaluation's ``_BLOCK`` x n temporaries to
-    the kernel (its trim threshold is only twice the largest block it has
-    mapped), and the next evaluation page-faults them in again: 146k minor
-    faults and half the run time of a dense 256-particle study on a 2-vCPU
-    Xeon.  Here blocks up to 32 MB come from the heap and up to 64 MB of freed
-    heap stays mapped; peak memory is unchanged.  Without ``mallopt``, a no-op.
-    """
+    """Keep freed pair blocks in the heap.  By default glibc hands each
+    evaluation's ``_BLOCK`` x n temporaries back to the kernel, and the next one
+    page-faults them in again: about 40k minor faults and 1.4-1.6x the time of a
+    dense 256-particle study on a 2-vCPU Xeon.  Blocks up to 32 MB now come from
+    the heap and up to 64 MB of freed heap stays mapped; peak memory is
+    unchanged.  Without ``mallopt``, a no-op."""
     if not sys.platform.startswith("linux"):
         return
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
         return
-    mallopt(_M_MMAP_THRESHOLD, 32 * 2**20)
-    mallopt(_M_TRIM_THRESHOLD, 64 * 2**20)
+    mallopt(-3, 32 * 2**20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 * 2**20)  # M_TRIM_THRESHOLD
 
 
 _keep_freed_blocks()
@@ -139,15 +128,17 @@ def compute_density(state, kernel):
 
 def _density_at(y, state, kernel):
     """Regularized density sum_j m_j W_h(y_k - x_j) of ``state`` at points y."""
-    x = state.positions
-    cutoff = kernel.support_radius / kernel.h if _use_cells(kernel, x, None) else None
-    return _density_and_blocks(*_walk_coords(y, x, kernel.h), state.masses, kernel, cutoff)
+    band = _band(kernel, y.shape[0])
+    ys, xs, order_y, order_x = _walk_coords(y, state.positions, kernel.h, band is not None)
+    m = state.masses if order_x is None else state.masses[order_x]
+    rho = _density_and_blocks(ys, xs, m, kernel, band)
+    return rho if order_y is None else _unsorted(rho, order_y)
 
 
 def _density_and_blocks(ys, xs, m, kernel, cutoff, slot=None):
     """rho at ``ys`` from the walk on ``cutoff``, in walk coordinates, keeping its blocks
     ``(rows, cols, u2, g)`` in ``slot``, if given, unless they pass ``_SLOT_ENTRIES``."""
-    rho, size = np.zeros(ys.shape[0]), 0
+    rho, size = np.empty(ys.shape[0]), 0
     for rows, cols, u2 in _pair_blocks(ys, xs, cutoff):
         w, g = kernel.shapes(u2)
         size += 2 * u2.size
@@ -155,7 +146,7 @@ def _density_and_blocks(ys, xs, m, kernel, cutoff, slot=None):
             slot.append((rows, cols, u2, g))
         elif slot:
             slot.clear()
-        rho[rows] = w @ m[cols]
+        _sum_pairs(rho, w, m, rows, cols, ys is xs)
     rho *= kernel.norm_const
     return rho
 
@@ -170,17 +161,20 @@ def compute_accelerations(state, rho, fm, kernel, include_drag=True):
     if state.dim != kernel.dim:
         raise ValueError(f"state dimension {state.dim} != kernel dimension {kernel.dim}")
     x, v, m = state.positions, state.velocities, state.masses
-    xs = _walk_coords(x, x, kernel.h)[1]
-    cutoff = kernel.support_radius / kernel.h if _use_cells(kernel, x, fm.interaction) else None
+    band = _band(kernel, state.n) if fm.eos is not None else None
+    _, xs, _, order = _walk_coords(x, x, kernel.h, band is not None)
+    m = m if order is None else m[order]
+    cutoff = band if fm.interaction is None else None  # the interaction has no support
     slot, F = [], None
     if fm.eos is not None:
         if rho is None:
-            own = kernel.support_radius / kernel.h if _use_cells(kernel, x, None) else None
-            rho = _density_and_blocks(xs, xs, m, kernel, own, slot if own == cutoff else None)
+            rho = _density_and_blocks(xs, xs, m, kernel, band, slot if band == cutoff else None)
+        elif order is not None:
+            rho = rho[order]
         F = np.asarray(f_theta(fm.eos, fm.theta, rho), dtype=float)
     blocks = slot or _pair_blocks(xs, xs, cutoff)
     acc = _pair_accel(blocks, xs, m, F, fm.theta, kernel, fm.interaction)
-
+    acc = acc if order is None else _unsorted(acc, order)
     if fm.v_ext is not None:
         acc -= fm.grad_v(x)
     if include_drag:
@@ -192,22 +186,22 @@ def _pair_accel(blocks, xs, m, F, theta, kernel, interaction):
     """Pressure and interaction pair sums over ``blocks`` of the walk
     coordinates ``xs``.  sum_i w_ki c_i (x_k - x_i) = x_k (w @ c)_k - (w @ c x)_k,
     so a block makes one product with the columns [m, m x], plus [m F, m F x]
-    for the theta = 1 pressure weights g_ki (F_k + F_i)."""
+    for the theta = 1 pressure weights g_ki (F_k + F_i), and its tail one more."""
     n, d = xs.shape
-    src = np.empty((n, 2 * d + 2))  # [m, m x, m F, m F x]
+    both = F is not None and theta  # [m F, m F x] too
+    src = np.empty((n, (d + 1) * (2 if both else 1)))  # [m, m x, m F, m F x]
     src[:, 0] = m
     np.multiply(m[:, None], xs, out=src[:, 1:d + 1])
-    press, inter = np.empty((n, (d + 1) * (2 if theta else 1))), np.empty((n, d + 1))
-    if F is not None:
+    if both:
         np.multiply(src[:, :d + 1], F[:, None], out=src[:, d + 1:])
+    press, inter, src_inter = np.empty(src.shape), np.empty((n, d + 1)), src[:, :d + 1]
     for rows, cols, u2, *kept_g in blocks:  # the slot's blocks carry g
         if F is not None:
-            g = kept_g[0] if kept_g else kernel.shapes(u2)[1]
-            press[rows] = g @ src[cols, :press.shape[1]]
+            _sum_pairs(press, kept_g[0] if kept_g else kernel.shapes(u2)[1], src, rows, cols)
         if interaction is not None:
             r = np.sqrt(u2, out=u2)  # the block is not read again
             r *= kernel.h
-            inter[rows] = interaction.force_scale(r) @ src[cols, :d + 1]
+            _sum_pairs(inter, interaction.force_scale(r), src_inter, rows, cols)
     acc = np.zeros_like(xs)
     if F is not None:
         acc = (xs * press[:, :1] - press[:, 1:d + 1]) * F[:, None]
@@ -239,49 +233,56 @@ def angular_momentum(state):
 
 
 def _pair_blocks(y, x, cutoff=None):
-    """Yield ``(rows, cols, r2)``: squared distances from the targets
-    ``y[rows]`` to the sources ``x[cols]``, each target in exactly one block.
-
-    A block is the product of a = [|y|^2, 1, -2 y] and b = [1, |x|^2, x]^T,
-    built once per walk (:func:`_sq_dists`); in walk coordinates it rounds
-    with about eps times the cloud's squared extent.
-
-    Without a cutoff the blocks are ``_BLOCK`` targets against all sources.
-    With one, the sources are sorted stably by their strip floor(x_0 / cutoff)
-    and the targets of strip s, ``_BLOCK`` at a time, meet strips s-1..s+1,
-    one contiguous range of that order, pairs beyond the cutoff included: the
-    index-sort neighbor search of Ihmsen et al. (Eurographics STAR 2014)
-    along one axis.
-    """
-    d = x.shape[1]
-    b = np.empty((d + 2, x.shape[0]))
+    """Yield ``(rows, cols, u2)``, last block first: slices of the targets ``y``
+    and sources ``x``, each target in one block of at most ``_BLOCK``, and u2 =
+    [|y|^2, 1, -2 y] @ [1, |x|^2, x]^T, which rounds with eps times the squared
+    extent.  The sources lie within the cutoff along x_0 of the block's targets
+    (``y`` and ``x`` sorted along x_0), or are all; if ``y is x``, from its first
+    target on (see :func:`_sum_pairs`)."""
+    d, n = x.shape[1], x.shape[0]
+    b = np.empty((d + 2, n))
     b[0], b[2:] = 1.0, x.T
     np.einsum("id,id->i", x, x, out=b[1])
     a = np.empty((y.shape[0], d + 2))
     a[:, 0] = b[1] if y is x else np.einsum("id,id->i", y, y)
     a[:, 1] = 1.0
     np.multiply(y, -2.0, out=a[:, 2:])
-    if cutoff is None:
-        for s in range(0, y.shape[0], _BLOCK):
-            rows = slice(s, s + _BLOCK)
-            yield rows, slice(None), _sq_dists(a[rows], b)
-        return
-    strip_x, strip_y = np.floor(x[:, 0] / cutoff), np.floor(y[:, 0] / cutoff)
-    sources, targets = np.argsort(strip_x, kind="stable"), np.argsort(strip_y, kind="stable")
-    strip_x, strip_y = strip_x[sources], strip_y[targets]
-    for s in np.unique(strip_y):
-        strip = targets[np.searchsorted(strip_y, s):np.searchsorted(strip_y, s, "right")]
-        cols = sources[np.searchsorted(strip_x, s - 1.0):np.searchsorted(strip_x, s + 1.0, "right")]
-        b_cols = b[:, cols]
-        for k in range(0, len(strip), _BLOCK):
-            rows = strip[k:k + _BLOCK]
-            yield rows, cols, _sq_dists(a[rows], b_cols)
+    for s in reversed(range(0, len(y), _BLOCK)):  # a row's tail sums come after its own
+        e = len(y) if s + _BLOCK > len(y) else s + _BLOCK
+        lo, hi = (s if y is x else 0), n
+        if cutoff is not None:  # the band along x_0
+            if y is not x:
+                lo = int(np.searchsorted(x[:, 0], y[s, 0] - cutoff))
+            hi = int(np.searchsorted(x[:, 0], y[e - 1, 0] + cutoff, "right"))
+        yield slice(s, e), slice(lo, hi), _sq_dists(a[s:e], b if hi - lo == n else b[:, lo:hi])
 
 
-def _walk_coords(y, x, h):
-    """``y`` and ``x`` relative to the first source, in units of h: the coordinates of a walk."""
+def _sum_pairs(out, w, c, rows, cols, tail=True):
+    """out[rows] = w @ c[cols]; with ``tail``, the block's sources past its
+    targets also get the transposed sums w[:, k:]^T @ c[rows], k targets."""
+    out[rows] = w @ c[cols]
+    if tail and cols.stop > rows.stop:
+        out[rows.stop:cols.stop] += w[:, rows.stop - rows.start:].T @ c[rows]
+
+
+def _walk_coords(y, x, h, sort=False):
+    """``(ys, xs, order_y, order_x)``: y and x relative to the first source in units
+    of h, and if ``sort``, each sorted stably along x_0 by its order (else None)."""
     xs = (x - x[:1]) / h
-    return (xs if y is x else (y - x[:1]) / h), xs
+    ys = xs if y is x else (y - x[:1]) / h
+    if not sort:
+        return ys, xs, None, None
+    order_x = np.argsort(xs[:, 0], kind="stable")
+    order_y = order_x if y is x else np.argsort(ys[:, 0], kind="stable")
+    xs = xs[order_x]
+    return (xs if y is x else ys[order_y]), xs, order_y, order_x
+
+
+def _unsorted(a, order):
+    """``a``, sorted by ``order``, back in the particles' order."""
+    out = np.empty_like(a)
+    out[order] = a
+    return out
 
 
 def _sq_dists(a, b):
@@ -290,13 +291,11 @@ def _sq_dists(a, b):
     return np.maximum(r2, 0.0, out=r2)  # clip the cancellation noise
 
 
-def _use_cells(kernel, x, interaction):
-    """Whether the pair sums over the sources ``x`` run on strips, which need a
-    compact kernel and no interaction, whose support is unbounded."""
-    if interaction is not None or not np.isfinite(kernel.support_radius):
-        return False
-    # strips only pay off once several strips span the cloud along x_0
-    return x.shape[0] >= 256 and np.ptp(x[:, 0]) > 4.0 * kernel.support_radius
+def _band(kernel, n):
+    """The cutoff in walk coordinates of a walk over n targets, or None (all
+    sources, no sort) for an unbounded kernel or a walk of one block."""
+    bounded = n > _BLOCK and np.isfinite(kernel.support_radius)
+    return kernel.support_radius / kernel.h if bounded else None
 
 
 # ---------------------------------------------------------------------------

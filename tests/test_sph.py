@@ -205,66 +205,129 @@ class TestConservedQuantities:
         assert angular_momentum(state) == 0.0
 
 
+def sorted_along_x0(y):
+    return y[np.argsort(y[:, 0], kind="stable")]
+
+
+def summed_pairs(y, x, cutoff):
+    """How often the walk sums each ordered pair (target k, source i), a tail
+    for both orders, how often it visits each target, and the pairs within
+    the cutoff by its own squared distances; checks each block's shape."""
+    counts, visits, found = np.zeros((len(y), len(x)), int), np.zeros(len(y), int), set()
+    for rows, cols, r2 in sph._pair_blocks(y, x, cutoff):
+        assert rows.stop - rows.start <= sph._BLOCK
+        assert r2.shape == (rows.stop - rows.start, cols.stop - cols.start)
+        visits[rows] += 1
+        counts[rows, cols] += 1
+        i, j = np.nonzero(r2 <= (np.inf if cutoff is None else cutoff * cutoff))
+        pairs = set(zip(i + rows.start, j + cols.start))
+        if y is x:
+            assert cols.start == rows.start
+            counts[rows.stop:cols.stop, rows] += 1
+            pairs |= {(b, a) for a, b in pairs if b >= rows.stop}
+        found |= pairs
+    return counts, visits, found
+
+
 class TestPairBlocks:
     def test_cells_cover_every_pair_within_cutoff(self, rng):
         # the sources against themselves and against other targets (a grid
         # reaching past the cloud, scattered points), in one to three
-        # dimensions: each target in exactly one block, no source twice in
-        # a block, and every pair within the cutoff found
-        from sphwass.sph import _pair_blocks
-
+        # dimensions, all sorted along x_0: each target in exactly one block,
+        # no pair summed twice, and every pair within the cutoff found
         cutoff = 0.4
         for dim in (1, 2, 3):
-            x = rng.random((200, dim)) * 3.0
+            x = sorted_along_x0(rng.random((200, dim)) * 3.0)
             axes = np.meshgrid(*[np.linspace(-1.0, 4.0, 11)] * dim, indexing="ij")
             grid = np.stack([a.ravel() for a in axes], axis=1)
-            for y in (x, grid, rng.random((50, dim)) * 5.0 - 1.0):
-                found, targets = set(), []
-                for rows, cols, r2 in _pair_blocks(y, x, cutoff):
-                    rows = np.arange(len(y))[rows]
-                    targets.extend(rows)
-                    assert len(np.unique(cols)) == len(cols)
-                    i, j = np.nonzero(r2 <= cutoff * cutoff)
-                    found.update(zip(rows[i], cols[j]))
-                assert sorted(targets) == list(range(len(y)))
-                d = np.linalg.norm(y[:, None, :] - x[None, :, :], axis=-1)
-                assert found == set(zip(*np.nonzero(d <= cutoff)))
+            for y in (x, grid, sorted_along_x0(rng.random((50, dim)) * 5.0 - 1.0)):
+                counts, visits, found = summed_pairs(y, x, cutoff)
+                assert (visits == 1).all() and counts.max() <= 1
+                near = np.linalg.norm(y[:, None, :] - x[None, :, :], axis=-1) <= cutoff
+                assert (counts[near] == 1).all()
+                assert found == set(zip(*np.nonzero(near)))
 
     def test_strip_blocks_hold_at_most_block_targets(self, rng):
-        # a 100x100 grid puts about 1700 targets in each strip of width 0.5
+        # a 100x100 grid against 200 sources with cutoff 0.5: blocks of at
+        # most _BLOCK consecutive targets tile the grid, and every source
+        # left out of a block is beyond the cutoff along x_0 of its targets
         from sphwass.sph import _BLOCK, _pair_blocks
 
         axes = np.meshgrid(*[np.linspace(0.0, 3.0, 100)] * 2, indexing="ij")
         grid = np.stack([a.ravel() for a in axes], axis=1)
-        targets = []
-        for rows, cols, r2 in _pair_blocks(grid, rng.random((200, 2)) * 3.0, 0.5):
+        x = sorted_along_x0(rng.random((200, 2)) * 3.0)
+        bounds = []
+        for rows, cols, r2 in _pair_blocks(grid, x, 0.5):
             assert r2.shape[0] <= _BLOCK
-            targets.extend(rows)
-        assert sorted(targets) == list(range(len(grid)))
+            bounds.append((rows.start, rows.stop))
+            out = np.ones(len(x), bool)
+            out[cols] = False
+            gap = np.abs(grid[rows, :1] - x[out, 0])
+            assert (gap > 0.5).all()
+        bounds.sort()
+        assert bounds[0][0] == 0 and bounds[-1][1] == len(grid)
+        assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
 
     def test_dense_blocks_tile_the_pair_matrix(self, rng):
+        # without a cutoff: other targets meet every source, and the sources
+        # against themselves the upper block triangle, from each block's first target
         from sphwass.sph import _BLOCK, _pair_blocks
 
         y, x = rng.random((_BLOCK + 7, 2)), rng.random((9, 2))
-        r2 = np.vstack([b for _, _, b in _pair_blocks(y, x)])
-        np.testing.assert_allclose(
-            r2, ((y[:, None, :] - x[None, :, :]) ** 2).sum(-1), atol=1e-15
-        )
-
+        r2 = np.empty((len(y), len(x)))
+        for rows, cols, block in _pair_blocks(y, x):
+            assert cols == slice(0, len(x))
+            r2[rows] = block
+        np.testing.assert_allclose(r2, direct_sq_dists(y, x), atol=1e-15)
+        for rows, cols, r2 in _pair_blocks(y, y):
+            assert cols == slice(rows.start, len(y))
+            np.testing.assert_allclose(r2, direct_sq_dists(y[rows], y[cols]), atol=1e-15)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_sq_dists_round_with_the_extent_not_the_position(self, dim, rng):
         # every n from 1 to 600 in steps of 7 meets each residue mod 8, where
-        # BLAS kernels change, and n > 512 takes two blocks; in walk
+        # BLAS kernels change, and n > _BLOCK takes several blocks; in walk
         # coordinates a cloud 1e4 extents from the origin rounds as one at it
         for n in range(1, 601, 7):
             x = (rng.random((n, dim)) * 4.0 - 1.2) * rng.choice([1.0, 30.0])
             x += rng.choice([0.0, 1e4]) * np.ptp(x)
-            ys, xs = sph._walk_coords(x, x, 1.0)
-            r2 = np.vstack([b for _, _, b in sph._pair_blocks(ys, xs)])
+            ys, xs, _, _ = sph._walk_coords(x, x, 1.0)
+            direct = direct_sq_dists(x, x)
             extent2 = (np.ptp(x, axis=0) ** 2).sum()
-            error = np.abs(r2 - direct_sq_dists(x, x)).max()
-            assert error <= 4.0 * np.finfo(float).eps * extent2
+            for rows, cols, r2 in sph._pair_blocks(ys, xs):
+                error = np.abs(r2 - direct[rows, cols]).max()
+                assert error <= 4.0 * np.finfo(float).eps * extent2
+
+
+class TestEachPairOnce:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_blocks_and_tails_sum_each_pair_once(self, dim, rng):
+        # a block's own targets meet each other both ways; its tail stands
+        # for both orders of a pair, which no other block holds
+        n = 3 * sph._BLOCK + 5
+        x = sorted_along_x0(rng.random((n, dim)) * 3.0)
+        for cutoff in (None, 0.4):
+            counts, visits, _ = summed_pairs(x, x, cutoff)
+            assert (visits == 1).all() and counts.max() <= 1
+            near = direct_sq_dists(x, x) <= (np.inf if cutoff is None else cutoff**2)
+            assert (counts[near] == 1).all()
+
+    def test_an_evaluation_takes_the_shapes_of_each_pair_once(self, rng, monkeypatch):
+        # every pair within the support: the one walk takes the shapes of
+        # n^2 / 2 pairs plus half a block's square per block, where a walk of
+        # every ordered pair takes n^2
+        n = 3 * sph._BLOCK + 5
+        state = ParticleState(normalized(rng.random(n) + 0.1), rng.random((n, 2)),
+                              np.zeros((n, 2)))
+        sizes, shapes = [], WendlandCubic2D.shapes
+
+        def counted(self, u2):
+            sizes.append(u2.size)
+            return shapes(self, u2)
+
+        monkeypatch.setattr(WendlandCubic2D, "shapes", counted)
+        compute_accelerations(state, None, hydro_model(7.0, 1), WendlandCubic2D(1.0))
+        assert 0 < sum(sizes) <= n * n / 2 + sph._BLOCK * n
 
 
 class TestBlockSlot:
@@ -272,14 +335,13 @@ class TestBlockSlot:
     and keeps the blocks, with their g, in its own slot for the pressure sum
     when rho's cutoff is the acceleration's and the blocks fit."""
 
+    # both banded: the support holds every pair ("dense") or a narrow band
     @pytest.fixture(params=[1.0, 0.05], ids=["dense", "cells"])
     def setup(self, request, rng):
         n = 300
         state = ParticleState(normalized(rng.random(n) + 0.1), rng.random((n, 2)),
                               np.zeros((n, 2)))
-        kernel = WendlandCubic2D(request.param)
-        assert sph._use_cells(kernel, state.positions, None) == (request.param == 0.05)
-        return state, kernel, hydro_model(7.0, 1)
+        return state, WendlandCubic2D(request.param), hydro_model(7.0, 1)
 
     @staticmethod
     def count_block_passes(monkeypatch):
@@ -350,14 +412,13 @@ class TestBlockSlot:
         assert calls == blocks == walked
 
     def test_interaction_cutoff_recomputes_the_blocks(self, setup, monkeypatch):
-        # rho may run on strips while the Morse sum needs all pairs
+        # rho walks the band while the Morse sum needs all pairs
         state, kernel, _ = setup
         fm = ForceModel(theta=1, eos=EosPolytropic(gamma=7.0), interaction=MorseInteraction())
         calls = self.count_block_passes(monkeypatch)
         acc = compute_accelerations(state, None, fm, kernel)
-        on_strips = sph._use_cells(kernel, state.positions, None)
         width = kernel.support_radius / kernel.h  # the cutoff in walk coordinates
-        assert calls == ([width, None] if on_strips else [None])
+        assert calls == [width, None]
         self.assert_is_the_reference(acc, state, fm, kernel)
 
     def test_blocks_beyond_the_slot_size_are_not_kept(self, setup, monkeypatch):
@@ -401,27 +462,45 @@ def folded_pair_terms(state, rho, fm, kernel):
 
     Each acceleration folds its pressure sum into
     sum_i w_ki x_i - x_k sum_i w_ki, so its rounding scales with those two
-    terms, not with their difference.
+    terms, not with their difference; an interaction adds its own w_ki.
     """
     from sphwass.forces import f_theta
 
     x, m = state.positions, state.masses
-    F = f_theta(fm.eos, fm.theta, rho)
-    g = kernel.grad_scale_from_sq(direct_sq_dists(x, x))
-    w = np.abs(m[None, :] * (F[:, None] + fm.theta * F[None, :]) * g)
+    r2 = direct_sq_dists(x, x)
+    w = np.zeros_like(r2)
+    if fm.eos is not None:
+        F = f_theta(fm.eos, fm.theta, rho)
+        w += np.abs(m[None, :] * (F[:, None] + fm.theta * F[None, :])
+                    * kernel.grad_scale_from_sq(r2))
+    if fm.interaction is not None:
+        w += np.abs(m[None, :] * fm.interaction.force_scale(np.sqrt(r2)))
     size = np.abs(x).max(axis=1)
     return (w @ size + w.sum(axis=1) * size).max()
 
 
-def assert_cell_path_matches_all_pairs(state, kernel, fm, monkeypatch):
-    # the input picks the path; replacing _use_cells forces one
-    def force_cells(use):
-        monkeypatch.setattr(sph, "_use_cells", lambda kernel, x, interaction: use)
+def force_band(monkeypatch, banded):
+    # the input picks the band; replacing _band forces one on every walk, or none
+    monkeypatch.setattr(
+        sph, "_band", lambda kernel, n: kernel.support_radius / kernel.h if banded else None
+    )
 
-    force_cells(False)
+
+def force_direct_sq_dists(monkeypatch):
+    # the product r2 = |y|^2 + |x|^2 - 2 y.x rounds with the BLAS kernel that
+    # the block's shape selects, by up to about eps (extent/h)^2 in walk
+    # coordinates: beyond 1e-13 in rho for extent/h near 800.  Direct
+    # differences of the factors' coordinates round the same in any block.
+    monkeypatch.setattr(
+        sph, "_sq_dists", lambda a, b: direct_sq_dists(-0.5 * a[:, 2:], b[2:].T)
+    )
+
+
+def assert_band_matches_all_pairs(state, kernel, fm, monkeypatch):
+    force_band(monkeypatch, False)
     rho_ap = compute_density(state, kernel)
     a_ap = compute_accelerations(state, rho_ap, fm, kernel)
-    force_cells(True)
+    force_band(monkeypatch, True)
     rho_cl = compute_density(state, kernel)
     a_cl = compute_accelerations(state, rho_ap, fm, kernel)
     np.testing.assert_allclose(rho_cl, rho_ap, rtol=1e-13)
@@ -430,14 +509,16 @@ def assert_cell_path_matches_all_pairs(state, kernel, fm, monkeypatch):
 
 
 class TestCellListEquivalence:
+    """The banded walk against the walk over all pairs."""
+
     @pytest.mark.parametrize("theta", [0, 1])
     def test_density_and_accel_paths_agree(self, theta, rng, monkeypatch):
-        # scaled-h regime: support covers a few cells only
+        # scaled-h regime: the band holds a few support radii only
         n = 512
         masses = normalized(np.ones(n))
         positions = rng.random((n, 2))
         state = ParticleState(masses, positions, np.zeros((n, 2)))
-        assert_cell_path_matches_all_pairs(
+        assert_band_matches_all_pairs(
             state, WendlandCubic2D(0.05), hydro_model(7.0, theta), monkeypatch
         )
 
@@ -450,23 +531,16 @@ class TestCellListEquivalence:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_paths_agree_on_random_clouds(self, n, h, extent, theta, seed):
-        # the product r2 = |y|^2 + |x|^2 - 2 y.x rounds with the BLAS kernel
-        # that the block's shape selects, by up to about eps (extent/h)^2 in
-        # walk coordinates on either path: beyond 1e-13 in rho for extent/h
-        # near 800.  Direct differences of the factors' coordinates round the
-        # same in any block, so only the blocks and the summation order are
-        # compared.
+        # only the blocks, the sort and the summation order are compared
         state, kernel = random_cloud(n, h, extent, seed)
         fm = hydro_model(7.0, theta)
         with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setattr(
-                sph, "_sq_dists", lambda a, b: direct_sq_dists(-0.5 * a[:, 2:], b[2:].T)
-            )
+            force_direct_sq_dists(monkeypatch)
             rho, acc = {}, {}
-            for cells in (False, True):
-                monkeypatch.setattr(sph, "_use_cells", lambda kernel, x, interaction: cells)
-                rho[cells] = compute_density(state, kernel)
-                acc[cells] = compute_accelerations(state, rho[False], fm, kernel)
+            for banded in (False, True):
+                force_band(monkeypatch, banded)
+                rho[banded] = compute_density(state, kernel)
+                acc[banded] = compute_accelerations(state, rho[False], fm, kernel)
         np.testing.assert_allclose(rho[True], rho[False], rtol=1e-13)
         folded = folded_pair_terms(state, rho[False], fm, kernel)
         assert np.abs(acc[True] - acc[False]).max() <= 1e-13 * folded
@@ -476,51 +550,110 @@ class TestCellListEquivalence:
         n=st.integers(2, 400),
         h=st.floats(0.005, 0.5),
         extent=st.floats(0.1, 4.0),
-        cells=st.booleans(),
+        banded=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_theta1_momentum_closure_on_random_clouds(self, n, h, extent, cells, seed):
-        # the pair terms of theta = 1 cancel in sum_k m_k a_k on either path,
-        # with the engine's own squared distances
+    def test_theta1_momentum_closure_on_random_clouds(self, n, h, extent, banded, seed):
+        # the pair terms of theta = 1 cancel in sum_k m_k a_k with or
+        # without the band, with the engine's own squared distances
         state, kernel = random_cloud(n, h, extent, seed)
         fm = hydro_model(7.0, 1)
         with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setattr(sph, "_use_cells", lambda kernel, x, interaction: cells)
+            force_band(monkeypatch, banded)
             rho = compute_density(state, kernel)
             acc = compute_accelerations(state, rho, fm, kernel)
         folded = folded_pair_terms(state, rho, fm, kernel)
         assert np.abs(state.masses @ acc).max() <= 1e-13 * folded
 
-    def test_auto_dispatch_uses_cells_for_small_support(self, rng):
-        from sphwass.sph import _use_cells
+    def test_unbounded_kernels_and_interactions_get_no_band(self, rng, monkeypatch):
+        # the band needs a compact kernel and a walk of several blocks, and
+        # the Morse sum walks all pairs whatever the kernel
+        assert sph._band(Gaussian1D(1.0), 10**6) is None
+        assert sph._band(WendlandCubic2D(0.05), sph._BLOCK) is None
+        assert sph._band(WendlandCubic2D(0.05), sph._BLOCK + 1) == 2.0
+        calls = TestBlockSlot.count_block_passes(monkeypatch)
+        n = 2 * sph._BLOCK
+        state = ParticleState(normalized(np.ones(n)), rng.random((n, 2)), np.zeros((n, 2)))
+        for eos in (None, EosPolytropic(gamma=7.0)):
+            fm = ForceModel(theta=1, eos=eos, interaction=MorseInteraction())
+            compute_accelerations(state, None, fm, WendlandCubic2D(0.05))
+        assert calls == [None, 2.0, None]
 
-        x = rng.random((512, 2))
-        assert _use_cells(WendlandCubic2D(0.05), x, None)
-        assert not _use_cells(WendlandCubic2D(1.0), x, None)
-        assert not _use_cells(Gaussian1D(1.0), x[:, :1], None)
-        assert not _use_cells(WendlandCubic2D(0.05), x, MorseInteraction())
 
-    def test_extent_is_measured_along_the_strip_axis(self, rng):
-        # strips cut x_0 only: a cloud narrow in x_0 but long in x_1 would
-        # fall into a single strip, so it takes the dense path
-        x = rng.random((2048, 2)) * [0.3, 20.0]
-        assert not sph._use_cells(WendlandCubic2D(0.5), x, None)
-        assert sph._use_cells(WendlandCubic2D(0.5), x[:, ::-1], None)
+def direct_accelerations(state, rho, fm, kernel):
+    """The pair sums of the accelerations by direct differences and plain sums."""
+    from sphwass.forces import f_theta
+
+    x, m = state.positions, state.masses
+    dx = x[:, None, :] - x[None, :, :]
+    r2 = (dx * dx).sum(axis=-1)
+    acc = np.zeros_like(x)
+    if fm.eos is not None:
+        F = f_theta(fm.eos, fm.theta, rho)
+        w = m[None, :] * kernel.grad_scale_from_sq(r2) * (F[:, None] + fm.theta * F[None, :])
+        acc -= (w[:, :, None] * dx).sum(axis=1)
+    if fm.interaction is not None:
+        c = m[None, :] * fm.interaction.force_scale(np.sqrt(r2))
+        acc += (c[:, :, None] * dx).sum(axis=1)
+    return acc
+
+
+class TestAllPairsReference:
+    """The one walk against plain sums over every pair, without blocks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 3 * sph._BLOCK + 5),
+        h=st.floats(0.01, 0.5),
+        extent=st.floats(0.1, 4.0),
+        theta=st.sampled_from([0, 1]),
+        morse=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_walk_matches_direct_sums(self, n, h, extent, theta, morse, seed):
+        # several blocks, bands pruned to a few support radii or holding all
+        # pairs, pressure alone or with the Morse sum
+        state, kernel = random_cloud(n, h, extent, seed)
+        fm = ForceModel(theta=theta, eos=EosPolytropic(gamma=7.0),
+                        interaction=MorseInteraction() if morse else None)
+        rho_ref = kernel.value_from_sq(direct_sq_dists(state.positions, state.positions))
+        rho_ref = (rho_ref * state.masses[None, :]).sum(axis=1)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            force_direct_sq_dists(monkeypatch)
+            rho = compute_density(state, kernel)
+            acc = compute_accelerations(state, None, fm, kernel)
+        np.testing.assert_allclose(rho, rho_ref, rtol=1e-13)
+        ref = direct_accelerations(state, rho_ref, fm, kernel)
+        assert np.abs(acc - ref).max() <= 1e-13 * folded_pair_terms(state, rho_ref, fm, kernel)
+
+    @pytest.mark.parametrize("h", [0.5, 0.05])
+    def test_density_at_grid_targets_matches_direct_sums(self, h, rng, monkeypatch):
+        # a grid reaching past the cloud, in the walk of density_profile
+        from sphwass.experiments import density_profile
+
+        state, kernel = random_cloud(3 * sph._BLOCK + 5, h, 2.0, 7)
+        axes = np.meshgrid(*[np.linspace(-1.0, 2.0, 23)] * 2, indexing="ij")
+        grid = np.stack([a.ravel() for a in axes], axis=1)[rng.permutation(23 * 23)]
+        force_direct_sq_dists(monkeypatch)
+        prof = density_profile(state, kernel, grid)
+        ref = kernel.value_from_sq(direct_sq_dists(grid, state.positions))
+        ref = (ref * state.masses[None, :]).sum(axis=1)
+        assert np.abs(prof - ref).max() <= 1e-13 * ref.max()
 
 
 class TestTranslationInvariance:
     @pytest.mark.parametrize("theta", [0, 1])
-    @pytest.mark.parametrize("cells", [False, True], ids=["dense", "strips"])
+    @pytest.mark.parametrize("banded", [False, True], ids=["all", "band"])
     @pytest.mark.parametrize("h", [1.0, 0.2])
-    def test_shifted_cloud_has_the_same_rho_and_accelerations(self, h, cells, theta, rng,
+    def test_shifted_cloud_has_the_same_rho_and_accelerations(self, h, banded, theta, rng,
                                                               monkeypatch):
         # a dyadic grid shifted by a power of two moves exactly, so each walk
-        # sees the same coordinates
+        # sees the same coordinates, sorted the same way
         n = 300
         x = rng.integers(0, 3 * 2**20, size=(n, 2)) * 2.0**-20
         masses = normalized(rng.random(n) + 0.1)
         kernel, fm = WendlandCubic2D(h), hydro_model(7.0, theta)
-        monkeypatch.setattr(sph, "_use_cells", lambda kernel, x, interaction: cells)
+        force_band(monkeypatch, banded)
         results = []
         for shift in (0.0, 2.0**7, 2.0**13):
             state = ParticleState(masses, x + shift, np.zeros((n, 2)))
