@@ -42,10 +42,9 @@ class EosPolytropic:
     k_eos: float = 1.0
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.k_eos <= 0:
-            raise ValueError(f"k_eos must be positive, got {self.k_eos}")
+        for name in ("gamma", "k_eos"):
+            if not 0 < (value := getattr(self, name)) < np.inf:  # also false for NaN
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def f_theta(eos, theta, rho):
@@ -97,8 +96,8 @@ class MorseInteraction:
 
     def __post_init__(self):
         for name in ("c_a", "c_r", "l_a", "l_r", "r_cut"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < (value := getattr(self, name)) < np.inf:  # also false for NaN
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def u_prime(self, r):
         """Radial derivative of the (untapered) potential."""
@@ -187,9 +186,4 @@ class ForceModel:
             raise ValueError(f"theta must be 0 or 1, got {self.theta}")
         if callable(self.eta) or not 0.0 <= self.eta < np.inf:  # also false for NaN
             raise ValueError(f"eta must be a nonnegative finite number, got {self.eta!r}")
-
-    def grad_v(self, y):
-        if self.v_ext is None:
-            return np.zeros_like(np.asarray(y, dtype=float))
-        return np.asarray(self.v_ext.gradient(y), dtype=float)
 

@@ -49,10 +49,10 @@ class IntegratorConfig:
     snapshot_times: tuple = ()
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
+        if not 0 < self.dt < np.inf:  # also false for NaN
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 <= self.t_end < np.inf:
+            raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end}")
         snaps = tuple(float(t) for t in self.snapshot_times)
         if any(t < 0 or t > self.t_end + 0.5 * self.dt for t in snaps):
             raise ValueError("snapshot times must lie within [0, t_end]")

@@ -6,23 +6,22 @@ The acceleration of particle k is
     a_k = - sum_i m_i grad W_h(x_k - x_i) [F_theta(rho_k) + theta F_theta(rho_i)]
           - grad V(x_k) - eta v_k + sum_i m_i K(x_k - x_i),
 
-with the regularized density rho_k = sum_j m_j W_h(x_k - x_j) (the j = k
-self-term included).  The i = k pressure term vanishes because
-grad W_h(0) = 0, and the i = k interaction term because K(0) = 0.
+with rho_k = sum_j m_j W_h(x_k - x_j), the j = k self-term included.  The i = k
+terms vanish, since grad W_h(0) = 0 and K(0) = 0.
 
-Both pair sums run on one walk, :func:`_pair_blocks`: ``_BLOCK`` consecutive
-targets against the sources within the cutoff along x_0, the particles sorted
-once along x_0 (the index-sort neighbor search of Ihmsen et al., Eurographics
-STAR 2014, on one axis), or against all sources (:func:`_band`).  A block's
-tail, the sources past its targets, gives the transposed sums too, so only
-pairs within a block are evaluated twice.  Beyond the support both kernels
-return exact zeros.  A walk runs in units of h relative to its first source,
-so results are invariant under translation.  Squared distances are one matrix
-product per block, and each pair sum one more, whose n rows take the kernel
-constants and F(rho_k).  Blocks come in a fixed order, so results are bitwise
-reproducible.  :func:`compute_accelerations` walks the pairs once for rho and
-keeps the blocks with their gradient shapes for the pressure sum; the module
-holds no state.  Importing it tunes glibc's allocator to reuse block temporaries.
+:func:`compute_accelerations` adds the terms, each pair sum on its own walk,
+:func:`_pair_blocks`: ``_BLOCK`` consecutive targets against the sources within
+the cutoff along x_0, the particles sorted once along x_0 (the index-sort neighbor
+search of Ihmsen et al., Eurographics STAR 2014, on one axis), or against all
+sources (:func:`_band`; always for K, which has no support).  A block's tail, the
+sources past its targets, gives the transposed sums too, so only pairs within a
+block are evaluated twice; pairs beyond the support give exact zeros.  A walk runs
+relative to its first source, in units of h for W_h, so results are invariant
+under translation.  Squared distances are one matrix product per block, and each
+pair sum one more, whose n rows take the kernel constants and F(rho_k).  Blocks
+come in a fixed order, so results are bitwise reproducible.  The pressure sum
+reuses the gradient shapes of rho's walk, and the module holds no state.
+Importing it tunes glibc's allocator to reuse block temporaries.
 """
 
 import ctypes
@@ -47,7 +46,7 @@ __all__ = [
 
 _BLOCK = 128  # most targets in one block: about _BLOCK * n doubles per temporary
 
-_SLOT_ENTRIES = 2**22  # squared distances plus gradient shapes one evaluation keeps: 32 MB
+_SLOT_ENTRIES = 2**22  # gradient shapes one evaluation keeps for its pressure sum: 32 MB
 
 
 def _keep_freed_blocks():
@@ -137,13 +136,13 @@ def _density_at(y, state, kernel):
 
 def _density_and_blocks(ys, xs, m, kernel, cutoff, slot=None):
     """rho at ``ys`` from the walk on ``cutoff``, in walk coordinates, keeping its blocks
-    ``(rows, cols, u2, g)`` in ``slot``, if given, unless they pass ``_SLOT_ENTRIES``."""
+    ``(rows, cols, g)`` in ``slot``, if given, unless their g pass ``_SLOT_ENTRIES``."""
     rho, size = np.empty(ys.shape[0]), 0
     for rows, cols, u2 in _pair_blocks(ys, xs, cutoff):
         w, g = kernel.shapes(u2)
-        size += 2 * u2.size
+        size += g.size
         if slot is not None and size <= _SLOT_ENTRIES:
-            slot.append((rows, cols, u2, g))
+            slot.append((rows, cols, g))
         elif slot:
             slot.clear()
         _sum_pairs(rho, w, m, rows, cols, ys is xs)
@@ -156,61 +155,61 @@ def compute_accelerations(state, rho, fm, kernel, include_drag=True):
 
     ``rho`` is :func:`compute_density` of the same state, or None for a pressure
     law to compute it in one walk whose blocks its pressure sum reuses (without
-    one, rho is not read).  ``include_drag=False`` leaves -eta v to the integrator.
-    """
+    one, rho is not read).  ``include_drag=False`` leaves -eta v to the integrator."""
     if state.dim != kernel.dim:
         raise ValueError(f"state dimension {state.dim} != kernel dimension {kernel.dim}")
-    x, v, m = state.positions, state.velocities, state.masses
-    band = _band(kernel, state.n) if fm.eos is not None else None
-    _, xs, _, order = _walk_coords(x, x, kernel.h, band is not None)
-    m = m if order is None else m[order]
-    cutoff = band if fm.interaction is None else None  # the interaction has no support
-    slot, F = [], None
-    if fm.eos is not None:
-        if rho is None:
-            rho = _density_and_blocks(xs, xs, m, kernel, band, slot if band == cutoff else None)
-        elif order is not None:
-            rho = rho[order]
-        F = np.asarray(f_theta(fm.eos, fm.theta, rho), dtype=float)
-    blocks = slot or _pair_blocks(xs, xs, cutoff)
-    acc = _pair_accel(blocks, xs, m, F, fm.theta, kernel, fm.interaction)
-    acc = acc if order is None else _unsorted(acc, order)
+    x = state.positions
+    acc = np.zeros_like(x) if fm.eos is None else _pressure_accel(state, rho, fm, kernel)
+    if fm.interaction is not None:
+        acc += _interaction_accel(state, fm.interaction)
     if fm.v_ext is not None:
-        acc -= fm.grad_v(x)
+        acc -= fm.v_ext.gradient(x)
     if include_drag:
-        acc -= fm.eta * v
+        acc -= fm.eta * state.velocities
     return acc
 
 
-def _pair_accel(blocks, xs, m, F, theta, kernel, interaction):
-    """Pressure and interaction pair sums over ``blocks`` of the walk
-    coordinates ``xs``.  sum_i w_ki c_i (x_k - x_i) = x_k (w @ c)_k - (w @ c x)_k,
-    so a block makes one product with the columns [m, m x], plus [m F, m F x]
-    for the theta = 1 pressure weights g_ki (F_k + F_i), and its tail one more."""
+def _pressure_accel(state, rho, fm, kernel):
+    """The pressure term, from the g kept by the walk for rho, or a fresh walk for g
+    when rho is supplied or the blocks pass ``_SLOT_ENTRIES``."""
+    band = _band(kernel, state.n)
+    _, xs, _, order = _walk_coords(state.positions, state.positions, kernel.h, band is not None)
+    m, slot = (state.masses if order is None else state.masses[order]), []
+    if rho is None:
+        rho = _density_and_blocks(xs, xs, m, kernel, band, slot)
+    elif order is not None:
+        rho = rho[order]
+    F = f_theta(fm.eos, fm.theta, rho)
+    blocks = slot or ((r, c, kernel.shapes(u2)[1]) for r, c, u2 in _pair_blocks(xs, xs, band))
+    sums = _pair_sums(blocks, xs, m, F if fm.theta else None)
+    acc = sums[:, 0] * F[:, None]
+    if fm.theta:  # the F_i term
+        acc += sums[:, 1]
+    acc *= -kernel.h * kernel.grad_const
+    return acc if order is None else _unsorted(acc, order)
+
+
+def _interaction_accel(state, interaction):
+    """The interaction term, on one walk over all pairs relative to x_0."""
+    xs = state.positions - state.positions[:1]
+    blocks = ((r, c, interaction.force_scale(np.sqrt(r2))) for r, c, r2 in _pair_blocks(xs, xs))
+    return _pair_sums(blocks, xs, state.masses)[:, 0]
+
+
+def _pair_sums(blocks, xs, m, F=None):
+    """sum_i w_ki c_i (x_k - x_i) = x_k (w @ c)_k - (w @ c x)_k over the ``(rows, cols,
+    w)`` blocks, for c = m and, with F, c = m F: one product per block and tail."""
     n, d = xs.shape
-    both = F is not None and theta  # [m F, m F x] too
-    src = np.empty((n, (d + 1) * (2 if both else 1)))  # [m, m x, m F, m F x]
+    src = np.empty((n, (d + 1) * (1 if F is None else 2)))  # [m, m x(, m F, m F x)]
     src[:, 0] = m
     np.multiply(m[:, None], xs, out=src[:, 1:d + 1])
-    if both:
-        np.multiply(src[:, :d + 1], F[:, None], out=src[:, d + 1:])
-    press, inter, src_inter = np.empty(src.shape), np.empty((n, d + 1)), src[:, :d + 1]
-    for rows, cols, u2, *kept_g in blocks:  # the slot's blocks carry g
-        if F is not None:
-            _sum_pairs(press, kept_g[0] if kept_g else kernel.shapes(u2)[1], src, rows, cols)
-        if interaction is not None:
-            r = np.sqrt(u2, out=u2)  # the block is not read again
-            r *= kernel.h
-            _sum_pairs(inter, interaction.force_scale(r), src_inter, rows, cols)
-    acc = np.zeros_like(xs)
     if F is not None:
-        acc = (xs * press[:, :1] - press[:, 1:d + 1]) * F[:, None]
-        if theta:
-            acc += xs * press[:, d + 1:d + 2] - press[:, d + 2:]
-        acc *= -kernel.h * kernel.grad_const
-    if interaction is not None:
-        acc += kernel.h * (xs * inter[:, :1] - inter[:, 1:])
-    return acc
+        np.multiply(src[:, :d + 1], F[:, None], out=src[:, d + 1:])
+    out = np.empty(src.shape)
+    for rows, cols, w in blocks:
+        _sum_pairs(out, w, src, rows, cols)
+    out = out.reshape(n, -1, d + 1)
+    return xs[:, None] * out[:, :, :1] - out[:, :, 1:]
 
 
 def momentum(state):

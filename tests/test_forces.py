@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sphwass import (
     EosPolytropic,
     ForceModel,
+    IntegratorConfig,
     MorseInteraction,
     ParticleState,
     QuadraticPotential,
@@ -242,3 +243,20 @@ class TestExternalAccel:
     def test_drag_is_a_finite_number(self, eta):
         with pytest.raises(ValueError, match="eta"):
             ForceModel(theta=1, eta=eta)
+
+
+NUMBER_FIELDS = [
+    *((EosPolytropic, {"gamma": 2.0}, f) for f in ("gamma", "k_eos")),
+    *((MorseInteraction, {}, f) for f in ("c_a", "c_r", "l_a", "l_r", "r_cut")),
+    *((IntegratorConfig, {"dt": 0.1, "t_end": 1.0}, f) for f in ("dt", "t_end")),
+]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "cls, base, field", NUMBER_FIELDS, ids=[f"{c.__name__}.{f}" for c, _, f in NUMBER_FIELDS]
+)
+def test_constructors_reject_nonfinite_numbers(cls, base, field, bad):
+    # NaN passes every `<= 0` check; an infinity gives no finite model or step count
+    with pytest.raises(ValueError, match=field):
+        cls(**{**base, field: bad})

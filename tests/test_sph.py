@@ -171,18 +171,21 @@ class TestAccelerations:
         np.testing.assert_allclose(acc, expected, atol=1e-12 * scale)
 
     def test_interaction_term_matches_direct_convolution(self, random_state_factory):
-        state = random_state_factory(24, 2)
-        kernel = WendlandCubic2D(1.0)
         morse = MorseInteraction()
         fm = ForceModel(theta=1, eos=None, interaction=morse)
-        dens = compute_density(state, kernel)
-        acc = compute_accelerations(state, dens, fm, kernel)
-        # oracle: direct per-particle convolution sum
-        expected = np.zeros_like(state.positions)
-        for k in range(state.n):
-            disp = state.positions[k] - state.positions
-            expected[k] = state.masses @ morse.force(disp)
-        np.testing.assert_allclose(acc, expected, atol=1e-14)
+        for n in (16, 24, 300):  # one block, and three
+            state = random_state_factory(n, 2)
+            acc = compute_accelerations(state, None, fm, WendlandCubic2D(1.0))
+            # the Morse sum runs in the particles' own units: no kernel enters
+            for h in (0.3, 0.05):
+                other = compute_accelerations(state, None, fm, WendlandCubic2D(h))
+                assert other.tobytes() == acc.tobytes()
+            # oracle: direct per-particle convolution sum
+            expected = np.zeros_like(state.positions)
+            for k in range(state.n):
+                disp = state.positions[k] - state.positions
+                expected[k] = state.masses @ morse.force(disp)
+            np.testing.assert_allclose(acc, expected, atol=1e-14)
 
 
 class TestConservedQuantities:
@@ -332,8 +335,8 @@ class TestEachPairOnce:
 
 class TestBlockSlot:
     """compute_accelerations(state, None, ...) walks the pairs once for rho
-    and keeps the blocks, with their g, in its own slot for the pressure sum
-    when rho's cutoff is the acceleration's and the blocks fit."""
+    and keeps the blocks' g in its own slot for the pressure sum when they fit;
+    a Morse sum takes its own walk over all pairs."""
 
     # both banded: the support holds every pair ("dense") or a narrow band
     @pytest.fixture(params=[1.0, 0.05], ids=["dense", "cells"])
@@ -411,14 +414,42 @@ class TestBlockSlot:
         assert compute_accelerations(state, rho, fm, kernel).tobytes() == acc.tobytes()
         assert calls == blocks == walked
 
-    def test_interaction_cutoff_recomputes_the_blocks(self, setup, monkeypatch):
-        # rho walks the band while the Morse sum needs all pairs
+    def test_morse_sum_walks_all_pairs_beside_the_kept_band(self, setup, monkeypatch):
+        # rho walks the band and the pressure sum reads its g, while the Morse
+        # sum walks all pairs on its own
         state, kernel, _ = setup
         fm = ForceModel(theta=1, eos=EosPolytropic(gamma=7.0), interaction=MorseInteraction())
         calls = self.count_block_passes(monkeypatch)
+        shaped, shapes = [], WendlandCubic2D.shapes
+
+        def counted(self, u2):
+            shaped.append(len(calls))
+            return shapes(self, u2)
+
+        monkeypatch.setattr(WendlandCubic2D, "shapes", counted)
         acc = compute_accelerations(state, None, fm, kernel)
         width = kernel.support_radius / kernel.h  # the cutoff in walk coordinates
         assert calls == [width, None]
+        assert shaped and set(shaped) == {1}  # shapes only on the density walk
+        monkeypatch.undo()
+        self.assert_is_the_reference(acc, state, fm, kernel)
+
+    def test_kept_blocks_carry_g_only(self, setup, monkeypatch):
+        # a slot of exactly the g entries one evaluation takes holds them all
+        state, kernel, fm = setup
+        sizes, shapes = [], WendlandCubic2D.shapes
+
+        def counted(self, u2):
+            sizes.append(u2.size)
+            return shapes(self, u2)
+
+        monkeypatch.setattr(WendlandCubic2D, "shapes", counted)
+        compute_accelerations(state, None, fm, kernel)
+        monkeypatch.setattr(WendlandCubic2D, "shapes", shapes)
+        monkeypatch.setattr(sph, "_SLOT_ENTRIES", sum(sizes))
+        calls = self.count_block_passes(monkeypatch)
+        acc = compute_accelerations(state, None, fm, kernel)
+        assert len(calls) == 1
         self.assert_is_the_reference(acc, state, fm, kernel)
 
     def test_blocks_beyond_the_slot_size_are_not_kept(self, setup, monkeypatch):
