@@ -157,7 +157,7 @@ def cmd_profile(args):
     try:
         kernel = KERNEL_FOR_DIM[mu.dim](args.h)
     except ValueError as err:
-        raise UsageError(f"--h: {err}") from None
+        raise UsageError(f"--h: smoothing length {err}") from None
 
     axes = np.meshgrid(*[np.linspace(lo, hi, count)] * mu.dim, indexing="ij")
     grid = np.stack([a.ravel() for a in axes], axis=1)

@@ -1,41 +1,27 @@
 """Run-configuration schema: a single JSON document, validated before any
 computation starts.  Unknown keys are rejected; every error names the
-offending field.
+offending field.  README.md and ``demos/configs/`` show annotated examples.
 
-Annotated example (1D expansion)::
+This module checks what JSON can get wrong: keys, shapes, integers, a bool
+posing as a number, a number beyond the float range.  Each range belongs to
+one constructor; :func:`validate_config` builds the plan and turns their
+``ParameterError`` into a :class:`ConfigError` naming the field::
 
-    {
-      "family": "expansion_1d",        // expansion_1d | rotating_square_2d | morse_2d
-      "gamma": 2.0,                    // polytropic exponent (pressure families)
-      "kappa": 1.0,                    // equation-of-state constant
-      "theta": 1,                      // scheme switch, 0 or 1
-      "h_mode": {"mode": "fixed", "value": 1.0},
-                                        // or {"mode": "scaled", "epsilon": 1.5}
-      "resolutions": [1, 2, 3],        // ladder exponents k; n = 2^k (1D), 4^k (2D)
-      "dt": 1e-3,
-      "t_end": 1.0,
-      "n_snapshots": 10,               // shared comparison grid over [0, t_end]
-      "eta": 0.0,                      // drag coefficient
-      "init": {"mode": "equipartition"},
-                                        // or {"mode": "iid", "seed": 42}
-      "output_dir": "out",
-      "workers": 1,
-      "seed": 0,
-      "verbosity": 1,
-      "meta": {}                       // free-form, ignored by the runner
-    }
-
-The ``morse_2d`` family ignores gamma/kappa and accepts an optional
-``"morse": {"c_a":..., "c_r":..., "l_a":..., "l_r":..., "r_cut":...}``
-block plus a positive ``eta`` (typically 10 or 0.1) and coarser time
-stepping (``dt = 1e-2``, ``t_end = 100``).
+    gamma, kappa                      EosPolytropic, for every family
+    theta, eta                        ForceModel
+    dt, t_end                         IntegratorConfig; t_end > 0 ExperimentPlan
+    h_mode.value, h_mode.epsilon      the kernel, as its smoothing length
+    morse.c_a, .c_r, .l_a, .l_r, .r_cut  MorseInteraction (morse_2d only)
+    resolutions, n_snapshots          ExperimentPlan
 """
 
 import json
 import sys
+from dataclasses import fields
 
 from .forces import MorseInteraction
 from .experiments import FAMILIES, ExperimentPlan
+from .params import ParameterError
 
 __all__ = ["ConfigError", "load_config", "validate_config", "plan_from_config"]
 
@@ -48,15 +34,12 @@ class ConfigError(ValueError):
         super().__init__(f"config field {field!r}: {message}")
 
 
+_PLAN_NUMBERS = ("gamma", "kappa", "theta", "dt", "t_end", "n_snapshots", "eta")
+
+# The plan's defaults for its numbers, and the config's own for the rest.
 _DEFAULTS = {
-    "gamma": 2.0,
-    "kappa": 1.0,
-    "theta": 1,
+    **{f.name: f.default for f in fields(ExperimentPlan) if f.name in _PLAN_NUMBERS},
     "h_mode": {"mode": "fixed", "value": 1.0},
-    "dt": 1e-3,
-    "t_end": 1.0,
-    "n_snapshots": 10,
-    "eta": 0.0,
     "init": {"mode": "equipartition"},
     "output_dir": "out",
     "workers": 1,
@@ -69,6 +52,8 @@ _DEFAULTS = {
 _TOP_KEYS = {"family", "resolutions", "morse", *_DEFAULTS}
 
 _MORSE_KEYS = {"c_a", "c_r", "l_a", "l_r", "r_cut"}
+
+_H_KEY = {"fixed": "value", "scaled": "epsilon"}  # h_mode's number, by mode
 
 
 def load_config(path):
@@ -85,16 +70,23 @@ def load_config(path):
     return validate_config(raw)
 
 
-def _require_number(field, val, positive=False, nonnegative=False):
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
+def _is_int(val):
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _require_number(field, val):
+    if not (_is_int(val) or isinstance(val, float)):
         raise ConfigError(field, f"expected a number, got {val!r}")
     # Python's json reads NaN, Infinity and integers beyond the float range
     if not abs(val) <= sys.float_info.max:
         raise ConfigError(field, f"must be finite, got {val!r}")
-    if positive and val <= 0:
-        raise ConfigError(field, f"must be positive, got {val!r}")
-    if nonnegative and val < 0:
-        raise ConfigError(field, f"must be nonnegative, got {val!r}")
+
+
+def _field(name, cfg):
+    """The config field that feeds the constructor parameter ``name``."""
+    if name == "h":
+        return "h_mode." + _H_KEY[cfg["h_mode"]["mode"]]
+    return "morse." + name if name in _MORSE_KEYS else {"k_eos": "kappa"}.get(name, name)
 
 
 def validate_config(raw):
@@ -117,37 +109,21 @@ def validate_config(raw):
     cfg.update(raw)
 
     res = cfg["resolutions"]
-    if (
-        not isinstance(res, list)
-        or len(res) < 2
-        or any(not isinstance(k, int) or isinstance(k, bool) or k < 1 for k in res)
-        or any(b <= a for a, b in zip(res, res[1:]))
-    ):
-        raise ConfigError(
-            "resolutions", "must be a strictly increasing list of integers >= 1"
-        )
-
-    _require_number("gamma", cfg["gamma"], positive=True)
-    _require_number("kappa", cfg["kappa"], positive=True)
-    if cfg["theta"] not in (0, 1) or isinstance(cfg["theta"], bool):
-        raise ConfigError("theta", f"must be 0 or 1, got {cfg['theta']!r}")
-    _require_number("dt", cfg["dt"], positive=True)
-    _require_number("t_end", cfg["t_end"], positive=True)
-    if not isinstance(cfg["n_snapshots"], int) or cfg["n_snapshots"] < 2:
-        raise ConfigError("n_snapshots", "must be an integer >= 2")
-    _require_number("eta", cfg["eta"], nonnegative=True)
+    if not isinstance(res, list) or not all(map(_is_int, res)):
+        raise ConfigError("resolutions", "must be a list of integers")
+    for field in _PLAN_NUMBERS:
+        if field != "n_snapshots":
+            _require_number(field, cfg[field])
+        elif not _is_int(cfg[field]):
+            raise ConfigError(field, "must be an integer")
 
     hm = cfg["h_mode"]
     if not isinstance(hm, dict) or hm.get("mode") not in ("fixed", "scaled"):
         raise ConfigError("h_mode", "must be {'mode': 'fixed'|'scaled', ...}")
-    if hm["mode"] == "fixed":
-        if set(hm) != {"mode", "value"}:
-            raise ConfigError("h_mode", "fixed mode takes exactly {'mode', 'value'}")
-        _require_number("h_mode.value", hm["value"], positive=True)
-    else:
-        if set(hm) != {"mode", "epsilon"}:
-            raise ConfigError("h_mode", "scaled mode takes exactly {'mode', 'epsilon'}")
-        _require_number("h_mode.epsilon", hm["epsilon"], positive=True)
+    key = _H_KEY[hm["mode"]]
+    if set(hm) != {"mode", key}:
+        raise ConfigError("h_mode", f"{hm['mode']} mode takes exactly {{'mode', {key!r}}}")
+    _require_number(f"h_mode.{key}", hm[key])
 
     init = cfg["init"]
     if not isinstance(init, dict) or init.get("mode") not in ("equipartition", "iid"):
@@ -165,9 +141,15 @@ def validate_config(raw):
         if not isinstance(morse, dict) or set(morse) - _MORSE_KEYS:
             raise ConfigError("morse", f"allowed keys are {sorted(_MORSE_KEYS)}")
         for key, val in morse.items():
-            _require_number(f"morse.{key}", val, positive=True)
+            _require_number(f"morse.{key}", val)
     elif cfg["family"] == "morse_2d":
         cfg["morse"] = {}
+
+    # Every range rule is the rule of the constructor that uses the number.
+    try:
+        plan_from_config(cfg)
+    except ParameterError as err:
+        raise ConfigError(_field(err.name, cfg), str(err)) from err
 
     if not isinstance(cfg["output_dir"], str) or not cfg["output_dir"]:
         raise ConfigError("output_dir", "must be a nonempty string")
@@ -188,24 +170,14 @@ def validate_config(raw):
 
 def plan_from_config(cfg):
     """Build the ExperimentPlan described by a validated config dict."""
-    hm = cfg["h_mode"]
-    morse = None
-    if cfg["family"] == "morse_2d":
-        morse = MorseInteraction(**cfg.get("morse", {}) or {})
-    init = cfg["init"]
+    hm, init = cfg["h_mode"], cfg["init"]
     return ExperimentPlan(
         family=cfg["family"],
         resolutions=tuple(cfg["resolutions"]),
-        gamma=cfg["gamma"],
-        kappa=cfg["kappa"],
-        theta=cfg["theta"],
+        **{key: cfg[key] for key in _PLAN_NUMBERS},
         h_mode=hm["mode"],
-        h_value=hm["value"] if hm["mode"] == "fixed" else hm["epsilon"],
-        dt=cfg["dt"],
-        t_end=cfg["t_end"],
-        n_snapshots=cfg["n_snapshots"],
-        eta=cfg["eta"],
-        morse=morse,
+        h_value=hm[_H_KEY[hm["mode"]]],
+        morse=MorseInteraction(**cfg["morse"]) if "morse" in cfg else None,
         init_mode=init["mode"],
         seed=init.get("seed", cfg["seed"]),
     )

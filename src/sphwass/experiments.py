@@ -31,6 +31,7 @@ from .forces import EosPolytropic, ForceModel, MorseInteraction
 from .initial import equipartition, preset, sample_iid, select_h
 from .integrator import IntegratorConfig, SimulationDivergedError, run
 from .kernels import KERNEL_FOR_DIM
+from .params import ParameterError
 from .sph import SupportDiagnostic, check_support, compute_density, support_bound
 from .sph import _density_at
 from .transport import (
@@ -100,27 +101,25 @@ class ExperimentPlan:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ParameterError("family", f"unknown family {self.family!r}")
         ks = tuple(int(k) for k in self.resolutions)
-        if len(ks) < 2:
-            raise ValueError("need at least two resolutions to compare")
-        if any(k < 1 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
-            raise ValueError("resolutions must be strictly increasing and >= 1")
+        if len(ks) < 2 or ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
+            raise ParameterError("resolutions", "need two or more increasing resolutions >= 1")
         object.__setattr__(self, "resolutions", ks)
-        if self.theta not in (0, 1):
-            raise ValueError("theta must be 0 or 1")
         if self.n_snapshots < 2:
-            raise ValueError("need at least two snapshot times")
-        if FAMILIES[self.family]["pressure"] and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+            raise ParameterError("n_snapshots", "need at least two snapshot times")
         if self.h_mode not in ("fixed", "scaled"):
-            raise ValueError("h_mode must be 'fixed' or 'scaled'")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
+            raise ParameterError("h_mode", "h_mode must be 'fixed' or 'scaled'")
         if self.init_mode not in ("equipartition", "iid"):
-            raise ValueError("init_mode must be 'equipartition' or 'iid'")
+            raise ParameterError("init_mode", "init_mode must be 'equipartition' or 'iid'")
+        # Each number's range is its constructor's.  The snapshot grid lies in
+        # [0, t_end], and for a huge n_snapshots it would take long to build.
+        EosPolytropic(self.gamma, self.kappa)  # checked for every family
+        self.force_model()
+        IntegratorConfig(self.dt, self.t_end)
+        if not self.t_end > 0:  # IntegratorConfig allows t_end = 0
+            raise ParameterError("t_end", f"t_end must be positive, got {self.t_end}")
+        self.kernel(self.h_value)
 
     @property
     def dim(self):

@@ -20,6 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .params import ParameterError, positive
+
 __all__ = [
     "EosPolytropic",
     "MorseInteraction",
@@ -43,8 +45,7 @@ class EosPolytropic:
 
     def __post_init__(self):
         for name in ("gamma", "k_eos"):
-            if not 0 < (value := getattr(self, name)) < np.inf:  # also false for NaN
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            positive(name, getattr(self, name))
 
 
 def f_theta(eos, theta, rho):
@@ -96,8 +97,7 @@ class MorseInteraction:
 
     def __post_init__(self):
         for name in ("c_a", "c_r", "l_a", "l_r", "r_cut"):
-            if not 0 < (value := getattr(self, name)) < np.inf:  # also false for NaN
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            positive(name, getattr(self, name))
 
     def u_prime(self, r):
         """Radial derivative of the (untapered) potential."""
@@ -183,7 +183,6 @@ class ForceModel:
 
     def __post_init__(self):
         if self.theta not in (0, 1):
-            raise ValueError(f"theta must be 0 or 1, got {self.theta}")
-        if callable(self.eta) or not 0.0 <= self.eta < np.inf:  # also false for NaN
-            raise ValueError(f"eta must be a nonnegative finite number, got {self.eta!r}")
+            raise ParameterError("theta", f"theta must be 0 or 1, got {self.theta}")
+        positive("eta", self.eta, zero_ok=True)
 

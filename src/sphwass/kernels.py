@@ -28,6 +28,8 @@ constants to their n-row results.  Instances are immutable and thread-safe.
 
 import numpy as np
 
+from .params import ParameterError, positive
+
 __all__ = ["Gaussian1D", "WendlandCubic2D", "KERNEL_FOR_DIM"]
 
 SQRT_PI = np.sqrt(np.pi)
@@ -38,9 +40,12 @@ _WENDLAND_SHAPE_INTEGRAL = 6.4 * np.pi
 
 
 def _smoothing_length(h):
-    if not 0 < h < np.inf:  # also false for NaN
-        raise ValueError(f"smoothing length must be positive and finite, got h={h}")
-    return float(h)
+    """h as a float.  Beyond 2^±255 the constants, of order h^-(dim + 2) at
+    most, would overflow or divide by zero."""
+    h = float(positive("h", h))
+    if not 2.0**-255 <= h <= 2.0**255:
+        raise ParameterError("h", f"h must lie within [2^-255, 2^255], got {h}")
+    return h
 
 
 class _Radial:

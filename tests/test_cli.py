@@ -243,7 +243,7 @@ class TestProfileCommand:
              "--grid", "nope"]
         ) == 2
 
-    @pytest.mark.parametrize("h", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("h", ["nan", "inf", "0", "-1", "1e-200"])
     def test_bad_smoothing_length_exits_2(self, tmp_path, capsys, h):
         # NaN slipped through the h <= 0 check; --h 0 ended as a runtime error
         cloud = tmp_path / "a.csv"

@@ -49,6 +49,41 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             tiny_plan(n_snapshots=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "field, extra, named",
+        [
+            ("dt", {}, "dt"),
+            ("t_end", {}, "t_end"),
+            ("gamma", {}, "gamma"),
+            ("kappa", {}, "k_eos"),
+            ("eta", {}, "eta"),
+            ("h_value", {}, "h must"),
+            ("h_value", {"h_mode": "scaled"}, "h must"),
+        ],
+        ids=["dt", "t_end", "gamma", "kappa", "eta", "h_fixed", "h_scaled"],
+    )
+    def test_nonfinite_number_fails_at_construction(self, field, extra, named, bad):
+        # NaN fails no `<= 0` test; each number goes through its constructor, so
+        # the plan fails here and not at its first rung (in a worker if workers > 1)
+        with pytest.raises(ValueError, match=named):
+            tiny_plan(**extra, **{field: bad})
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"kappa": -1.0}, "k_eos"),
+            ({"h_value": -1.0}, "h must"),
+            ({"family": "morse_2d", "gamma": np.nan}, "gamma"),
+            ({"family": "morse_2d", "kappa": -1.0}, "k_eos"),
+        ],
+        ids=["kappa", "h_value", "morse_gamma", "morse_kappa"],
+    )
+    def test_negative_number_fails_at_construction(self, overrides, named):
+        # the equation of state is checked for every family, as the config does
+        with pytest.raises(ValueError, match=named):
+            tiny_plan(**overrides)
+
     def test_particle_counts_per_dimension(self):
         assert tiny_plan().particles_at(3) == 8
         plan2d = tiny_plan(family="rotating_square_2d", dt=1e-2)

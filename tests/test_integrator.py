@@ -199,6 +199,25 @@ class TestRun:
         assert exc_info.value.step_index >= 1
         assert str(exc_info.value.step_index) in str(exc_info.value)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("call, step", [(1, 1), (2, 1), (5, 4)])
+    def test_divergence_names_the_exact_step(self, bad, call, step):
+        # Evaluation 1 is the acceleration before step 1, evaluation c >= 2 the
+        # one at the end of step c - 1.  A bad first one reaches x through the
+        # drift of step 1; a later one makes v bad in the last half-kick of its step.
+        class TurnsBad:
+            calls = 0
+
+            def gradient(self, y):
+                self.calls += 1
+                return np.full_like(y, bad if self.calls >= call else 0.0)
+
+        fm = ForceModel(theta=1, v_ext=TurnsBad())
+        cfg = IntegratorConfig(dt=0.1, t_end=1.0)
+        with pytest.raises(SimulationDivergedError) as exc_info:
+            run(single_particle(0.0, 1.0), fm, KERNEL_1D, cfg)
+        assert exc_info.value.step_index == step
+
 
 class TestEnergyInvariant:
     """E = sum m|v|^2/2 + sum m_k kappa rho_k^(gamma-1)/(gamma-1) on a

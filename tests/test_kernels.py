@@ -42,6 +42,14 @@ def test_nonfinite_h_rejected(kernel, h):
         kernel(h)
 
 
+@pytest.mark.parametrize("kernel", [Gaussian1D, WendlandCubic2D])
+@pytest.mark.parametrize("h", [1e-200, 1e200])
+def test_h_whose_constants_overflow_rejected(kernel, h):
+    # the constants, of order h^-(dim + 2), would overflow or divide by zero
+    with pytest.raises(ValueError, match="within"):
+        kernel(h)
+
+
 def test_wendland_vanishes_at_support_edge():
     k = WendlandCubic2D(1.0)
     assert k.value(np.array([2.0, 0.0])) == 0.0
