@@ -119,6 +119,12 @@ class ExperimentPlan:
         IntegratorConfig(self.dt, self.t_end)
         if not self.t_end > 0:  # IntegratorConfig allows t_end = 0
             raise ParameterError("t_end", f"t_end must be positive, got {self.t_end}")
+        # Beyond one time per step, requested times collapse onto the same steps.
+        n_steps = round(self.t_end / self.dt)
+        if self.n_snapshots > n_steps + 1:
+            raise ParameterError(
+                "n_snapshots", f"at most {n_steps + 1} snapshot times fit {n_steps} steps"
+            )
         self.kernel(self.h_value)
 
     @property

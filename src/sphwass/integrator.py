@@ -18,11 +18,12 @@ contractive for every dt * eta.  With eta = 0 the scheme is the plain
 symplectic leapfrog.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .params import positive
+from .params import ParameterError, positive
 # compute_density is not called here: perfbench/tracing.py wraps it under this module
 from .sph import ParticleState, compute_accelerations, compute_density
 
@@ -52,6 +53,8 @@ class IntegratorConfig:
     def __post_init__(self):
         positive("dt", self.dt)
         positive("t_end", self.t_end, zero_ok=True)
+        if not self.t_end / self.dt < math.inf:  # the step count must be a number
+            raise ParameterError("dt", f"dt = {self.dt} is too small for t_end = {self.t_end}")
         snaps = tuple(float(t) for t in self.snapshot_times)
         if any(t < 0 or t > self.t_end + 0.5 * self.dt for t in snaps):
             raise ValueError("snapshot times must lie within [0, t_end]")

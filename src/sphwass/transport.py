@@ -26,10 +26,13 @@ paths of :func:`w1_lp`.
 through a 1-Lipschitz potential built by shortest-path relaxation, using
 nothing from the solver's internals.
 
-scipy is imported at the first assignment or LP solve, through the
-module-level :func:`linear_sum_assignment` and :func:`linprog`.
+scipy is loaded at the first assignment or LP solve, through the
+module-level :func:`linear_sum_assignment` and :func:`linprog`.  Only the
+LP path imports ``scipy.optimize``; the assignment loads scipy's compiled
+Jonker-Volgenant solver from its own file.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,10 +74,45 @@ class TransportBudgetError(RuntimeError):
     """Problem size exceeds the configured memory budget."""
 
 
-def linear_sum_assignment(cost):
-    """``scipy.optimize.linear_sum_assignment``, imported on the first call."""
+_lsap = None  # scipy's assignment solver, loaded by the first call
+
+
+def _lsap_file():
+    """The file of scipy's compiled assignment solver, or None."""
+    from importlib.machinery import EXTENSION_SUFFIXES
+
+    import scipy
+
+    base = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_lsap")
+    return next((base + s for s in EXTENSION_SUFFIXES if os.path.isfile(base + s)), None)
+
+
+def _load_lsap(path):
+    """The function ``scipy.optimize`` exports as ``linear_sum_assignment``,
+    from its extension module at ``path``, without importing ``scipy.optimize``
+    (and with it ``scipy.linalg``, ``scipy.sparse`` and ``scipy.special``); from
+    ``scipy.optimize`` if ``path`` is None or will not load.  The interpreter
+    registers the module, so a later ``import scipy.optimize`` reuses it."""
+    if path is not None:
+        from importlib.util import module_from_spec, spec_from_file_location
+
+        try:
+            spec = spec_from_file_location("scipy.optimize._lsap", path)
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module.linear_sum_assignment
+        except (ImportError, OSError, AttributeError):
+            pass
     from scipy.optimize import linear_sum_assignment
-    return linear_sum_assignment(cost)
+    return linear_sum_assignment
+
+
+def linear_sum_assignment(cost):
+    """scipy's ``linear_sum_assignment``, loaded on the first call."""
+    global _lsap
+    if _lsap is None:
+        _lsap = _load_lsap(_lsap_file())
+    return _lsap(cost)
 
 
 def linprog(*args, **kwargs):

@@ -1,5 +1,5 @@
 """What a fresh interpreter imports: numpy and the standard library, until
-a 2D or LP distance needs scipy.
+a 2D distance needs scipy; ``scipy.optimize`` only for the LP.
 
 Each probe runs in its own interpreter, because the test process itself
 has scipy loaded long before these tests run.
@@ -19,7 +19,7 @@ from sphwass.transport import FLOAT_FMT
 
 SRC = Path(sphwass.__file__).resolve().parents[1]
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
-LAZY = ("scipy", "concurrent.futures")
+LAZY = ("scipy", "scipy.optimize", "scipy.linalg", "scipy.sparse", "concurrent.futures")
 
 _PROBE = """\
 import contextlib, io, json, sys
@@ -55,11 +55,12 @@ def cli(*argv):
     )
 
 
-def write_cloud(path, points):
-    """Uniform masses on ``points``, in the CSV layout the CLI reads."""
+def write_cloud(path, points, masses=None):
+    """``masses`` (uniform by default) on ``points``, in the CSV layout the CLI reads."""
     points = np.atleast_2d(points)
+    masses = np.full(len(points), 1.0 / len(points)) if masses is None else masses
     header = "id," + ",".join(f"x{i}" for i in range(points.shape[1])) + ",mass"
-    rows = [np.arange(len(points)), *points.T, np.full(len(points), 1.0 / len(points))]
+    rows = [np.arange(len(points)), *points.T, masses]
     np.savetxt(path, np.column_stack(rows), fmt=FLOAT_FMT, delimiter=",",
                header=header, comments="")
     return path
@@ -111,14 +112,55 @@ def test_1d_study_loads_no_scipy(tmp_path):
     assert (tmp_path / "out" / "rates.csv").exists()
 
 
-def test_2d_distance_loads_scipy_and_prints_the_library_value(tmp_path):
-    rng = np.random.default_rng(4)
-    pts_a, pts_b = rng.random((4, 2)), rng.random((16, 2))
-    a = write_cloud(tmp_path / "a.csv", pts_a)
-    b = write_cloud(tmp_path / "b.csv", pts_b)
+def distance_of(tmp_path, pts_a, pts_b, masses_a, masses_b):
+    """What a fresh ``sphwass distance`` loads and prints on two clouds, and
+    the distance computed in this process."""
+    a = write_cloud(tmp_path / "a.csv", pts_a, masses_a)
+    b = write_cloud(tmp_path / "b.csv", pts_b, masses_b)
     loaded, out = fresh_interpreter(cli("distance", str(a), str(b)))
-    assert "scipy" in loaded
-    expected = wasserstein1(
-        DiscreteMeasure(pts_a, np.full(4, 0.25)), DiscreteMeasure(pts_b, np.full(16, 1 / 16))
+    return loaded, out, wasserstein1(
+        DiscreteMeasure(pts_a, masses_a), DiscreteMeasure(pts_b, masses_b)
     )
+
+
+def test_uniform_2d_distance_loads_only_the_assignment_solver(tmp_path):
+    rng = np.random.default_rng(4)
+    loaded, out, expected = distance_of(
+        tmp_path, rng.random((4, 2)), rng.random((16, 2)), np.full(4, 0.25), np.full(16, 1 / 16)
+    )
+    assert loaded == ["scipy"]
     assert f"W1 = {FLOAT_FMT % expected} " in out
+    assert "(solver: assignment)" in out
+
+
+def test_nonuniform_2d_distance_loads_scipy_optimize_and_prints_the_library_value(tmp_path):
+    rng = np.random.default_rng(4)
+    masses_a = np.array([0.125, 0.25, 0.25, 0.375])
+    loaded, out, expected = distance_of(
+        tmp_path, rng.random((4, 2)), rng.random((16, 2)), masses_a, np.full(16, 1 / 16)
+    )
+    assert {"scipy", "scipy.optimize", "scipy.sparse"} <= set(loaded)
+    assert f"W1 = {FLOAT_FMT % expected} " in out
+    assert "(solver: transportation LP)" in out
+
+
+def test_2d_study_loads_only_the_assignment_solver(tmp_path):
+    cfg = {"family": "morse_2d", "resolutions": [1, 2, 3], "dt": 0.01, "t_end": 0.05,
+           "n_snapshots": 2, "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "morse.json"
+    path.write_text(json.dumps(cfg))
+    loaded, _ = fresh_interpreter(cli("run", str(path)))
+    assert loaded == ["scipy"]
+    assert (tmp_path / "out" / "rates.csv").exists()
+
+
+def test_scipy_optimize_hands_back_the_loaded_solver():
+    loaded, out = fresh_interpreter(
+        "import numpy as np\n"
+        "from sphwass import transport\n"
+        "transport.linear_sum_assignment(np.eye(3))\n"
+        "import scipy.optimize\n"
+        "print(transport._lsap is scipy.optimize.linear_sum_assignment)"
+    )
+    assert "scipy.optimize" in loaded
+    assert out.strip() == "True"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from sphwass.cli import main
 from sphwass.config import ConfigError, validate_config
+from sphwass.experiments import ExperimentPlan
 
 BASE = {"family": "rotating_square_2d", "resolutions": [1, 2]}
 MORSE = {"family": "morse_2d", "resolutions": [1, 2]}
@@ -45,6 +47,27 @@ def test_nan_dt_from_json_exits_2(tmp_path, capsys):
     path.write_text('{"family": "expansion_1d", "resolutions": [1, 2], "dt": NaN}')
     assert main(["run", str(path)]) == 2
     assert "'dt'" in capsys.readouterr().err
+
+
+def test_dt_too_small_for_t_end_exits_2_naming_dt(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**BASE, "dt": 5e-324, "output_dir": str(tmp_path / "out")}))
+    assert main(["run", str(path)]) == 2
+    assert "'dt'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_more_snapshots_than_steps_exit_2_before_the_grid_is_built(
+    tmp_path, capsys, monkeypatch
+):
+    def no_grid(plan):
+        raise AssertionError("snapshot grid built")
+
+    monkeypatch.setattr(ExperimentPlan, "snapshot_times", no_grid)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**BASE, "n_snapshots": 10**12}))
+    assert main(["run", str(path)]) == 2
+    assert "'n_snapshots'" in capsys.readouterr().err
 
 
 def test_integer_literal_beyond_the_digit_limit_exits_2(tmp_path, capsys):

@@ -12,6 +12,7 @@ from sphwass import (
     equipartition,
     run_convergence_study,
 )
+from sphwass.params import ParameterError
 
 
 def tiny_plan(**overrides):
@@ -48,6 +49,13 @@ class TestPlanValidation:
     def test_snapshot_count(self):
         with pytest.raises(ValueError):
             tiny_plan(n_snapshots=1)
+
+    def test_at_most_one_snapshot_time_per_step(self):
+        # t_end / dt = 20 steps give 21 distinct step indices
+        assert tiny_plan(n_snapshots=21).n_snapshots == 21
+        with pytest.raises(ParameterError) as err:
+            tiny_plan(n_snapshots=22)
+        assert err.value.name == "n_snapshots"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize(

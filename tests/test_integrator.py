@@ -18,6 +18,7 @@ from sphwass import (
     preset,
     run,
 )
+from sphwass.params import ParameterError
 
 FREE = ForceModel(theta=1)
 KERNEL_1D = Gaussian1D(1.0)
@@ -258,6 +259,12 @@ class TestConfigValidation:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.0, t_end=1.0)
+
+    def test_rejects_dt_too_small_for_t_end(self):
+        # t_end / dt overflows to inf, which no step count can hold
+        with pytest.raises(ParameterError) as err:
+            IntegratorConfig(dt=5e-324, t_end=1.0)
+        assert err.value.name == "dt"
 
     def test_rejects_negative_t_end(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+from importlib.machinery import EXTENSION_SUFFIXES
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +243,54 @@ class TestAssignmentDispatch:
         assert w1_solver(mu, nu) == "exact 1D CDF sweep"
         assert wasserstein1(mu, nu) == w1_1d_discrete(mu, nu)
         assert not linprog_calls
+
+
+def lsap_inputs():
+    rng = np.random.default_rng(11)
+    return {
+        "square": rng.random((7, 7)),
+        "wide": rng.random((5, 9)),
+        "tall": rng.random((9, 5)),
+        # every row copied 4 times, as the assignment path copies atoms: ties
+        "copied_rows": np.repeat(rng.random((4, 16)), 4, axis=0),
+        "integers": rng.integers(0, 3, (12, 12)),
+    }
+
+
+class TestAssignmentSolver:
+    """The solver loaded from scipy's extension file is scipy's own."""
+
+    @pytest.fixture(scope="class")
+    def library(self):
+        from scipy.optimize import linear_sum_assignment
+
+        return linear_sum_assignment
+
+    @pytest.mark.parametrize("name", sorted(lsap_inputs()))
+    def test_loaded_solver_matches_the_library(self, library, name):
+        cost = lsap_inputs()[name]
+        solver = transport._load_lsap(transport._lsap_file())
+        for got, want in zip(solver(cost), library(cost)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_loaded_solver_is_the_library_function(self, library):
+        assert transport._lsap_file() is not None
+        assert transport._load_lsap(transport._lsap_file()) is library
+
+    @pytest.mark.parametrize("kind", ["junk", "missing", "none"])
+    def test_a_file_that_will_not_load_falls_back(
+        self, library, monkeypatch, tmp_path, kind
+    ):
+        path = tmp_path / ("_lsap" + EXTENSION_SUFFIXES[0])
+        if kind == "junk":
+            path.write_bytes(b"not a shared object")
+        monkeypatch.setattr(transport, "_lsap", None)
+        monkeypatch.setattr(transport, "_lsap_file", lambda: None if kind == "none" else path)
+        for cost in lsap_inputs().values():
+            for got, want in zip(transport.linear_sum_assignment(cost), library(cost)):
+                np.testing.assert_array_equal(got, want)
+        assert transport._lsap is library
 
 
 class TestMetricAxioms:
