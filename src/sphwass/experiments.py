@@ -220,11 +220,15 @@ def _single_run(plan, k):
 def run_convergence_study(plan, workers=1, budget=None):
     """Run every resolution of the plan and assemble distances and rates.
 
-    Resolutions are independent; ``workers > 1`` runs them in separate
-    processes.  Any diverging simulation aborts the study with a
-    :class:`StudyDivergedError` naming the family and resolution.
+    A plan of fewer than three resolutions raises a ``ParameterError`` before
+    its first rung, since it gives no rate.  Resolutions are independent;
+    ``workers > 1`` runs them in separate processes.  Any diverging
+    simulation aborts the study with a :class:`StudyDivergedError` naming
+    the family and resolution.
     """
     ks = list(plan.resolutions)
+    if len(ks) < 3:  # before any rung: a rate compares two consecutive distances
+        raise ParameterError("resolutions", f"a rate needs three or more resolutions, got {ks}")
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

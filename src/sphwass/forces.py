@@ -69,12 +69,15 @@ def f_theta(eos, theta, rho):
     return out if out.ndim else float(out)
 
 
-def _smoothstep(u):
-    """Quintic smoothstep s(u) = u^3 (10 - 15 u + 6 u^2) on [0, 1], the polynomial in place."""
-    p = 6.0 * u - 15.0
+def _smoothstep(u, out=None, work=None):
+    """Quintic smoothstep s(u) = u^3 (10 - 15 u + 6 u^2) on [0, 1], the polynomial in
+    place: in the arrays ``out`` (s) and ``work`` (the polynomial) if given."""
+    p = np.subtract(np.multiply(u, 6.0, out=work), 15.0, out=work)
     p *= u
     p += 10.0
-    return u * u * u * p
+    s = np.multiply(np.multiply(u, u, out=out), u, out=out)
+    s *= p
+    return s
 
 
 @dataclass(frozen=True)
@@ -101,17 +104,29 @@ class MorseInteraction:
 
     def u_prime(self, r):
         """Radial derivative of the (untapered) potential."""
-        r = np.asarray(r, dtype=float)
-        du = np.exp(r / -self.l_a) * (self.c_a / self.l_a)
-        du -= np.exp(r / -self.l_r) * (self.c_r / self.l_r)
-        return du
+        return np.negative(self._repulsion_minus_attraction(r))
 
-    def force_scale(self, r):
-        """Scalar c(r) such that K(x) = c(|x|) * x, with c(0) = 0."""
+    def _repulsion_minus_attraction(self, r, out=None, work=None):
+        """-U'(r) = (c_r/l_r) exp(-r/l_r) - (c_a/l_a) exp(-r/l_a), in the arrays ``out``
+        and ``work`` if given: the bits of -(U'(r)), up to the sign of a zero."""
+        rep = np.exp(np.divide(r, -self.l_r, out=out), out=out)
+        rep = np.multiply(rep, self.c_r / self.l_r, out=out)
+        att = np.exp(np.divide(r, -self.l_a, out=work), out=work)
+        return np.subtract(rep, np.multiply(att, self.c_a / self.l_a, out=work), out=out)
+
+    def force_scale(self, r, out=None):
+        """Scalar c(r) such that K(x) = c(|x|) * x, with c(0) = 0.  ``out``, if
+        given, is a float array of shape (4,) + r.shape: c goes to out[0], and the
+        rest is scratch (four arrays of r's shape will do as well)."""
         r = np.asarray(r, dtype=float)
-        c = np.asarray(-self.u_prime(r))
-        c *= _smoothstep(np.minimum(r, self.r_cut) / self.r_cut)  # s(1) == 1.0 exactly
-        c /= np.maximum(r, 1e-300)  # c(0) = 0: the taper is 0 there
+        if out is None:
+            out = np.empty((4,) + r.shape)
+            out = [out[i, ...] for i in range(4)]  # arrays, also for a 0-d r
+        c, u, p, s = out
+        c = self._repulsion_minus_attraction(r, c, u)
+        u = np.divide(np.minimum(r, self.r_cut, out=u), self.r_cut, out=u)
+        c *= _smoothstep(u, s, p)  # s(1) == 1.0 exactly
+        c /= np.maximum(r, 1e-300, out=u)  # c(0) = 0: the taper is 0 there
         return c
 
     def force(self, x):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .params import ParameterError, positive
 # compute_density is not called here: perfbench/tracing.py wraps it under this module
-from .sph import ParticleState, compute_accelerations, compute_density
+from .sph import ParticleState, _Engine, compute_accelerations, compute_density
 
 __all__ = ["IntegratorConfig", "Trajectory", "SimulationDivergedError", "run"]
 
@@ -83,48 +83,42 @@ class Trajectory:
         return len(self.times)
 
 
-def _kick_drift_kick(probe, a, fm, kernel, dt, k):
-    """Step ``k`` from the probe's (x, v), given the drag-free acceleration
-    ``a`` at x.
-
-    Rebinds the probe's positions and velocities to the new arrays instead
-    of building a validated state per step; the arrays it held before are
-    left untouched.  Returns the acceleration at the new positions, which
-    the next step starts from.
-    """
-    x, v = probe.positions, probe.velocities
-    v = v * (1.0 - 0.5 * dt * fm.eta) + 0.5 * dt * a
-    x = x + dt * v  # finite x and 0 < dt < inf: x stays finite exactly when v is
-    if not np.isfinite(x).all():
-        raise SimulationDivergedError(k)
-    probe.positions, probe.velocities = x, v
-    a = compute_accelerations(probe, None, fm, kernel, include_drag=False)
-    v = (v + 0.5 * dt * a) / (1.0 + 0.5 * dt * fm.eta)
-    if not np.isfinite(v).all():
-        raise SimulationDivergedError(k)
-    probe.velocities = v
-    return a
-
-
 def run(state0, fm, kernel, cfg):
     """Integrate from ``state0`` and collect snapshots at the configured times.
 
-    Raises :class:`SimulationDivergedError` (naming the step) if the state
-    leaves the realm of finite floats.
+    The run builds one force engine for its evaluations, and advances its own
+    copies of x and v in place; each snapshot copies them.  Raises
+    :class:`SimulationDivergedError` (naming the step) if the state leaves the
+    realm of finite floats.
     """
     snap_steps, n_steps = cfg.snapshot_steps()
     want = set(snap_steps)
     times, states = [], []
 
     probe = state0.copy()
-    t0 = state0.time
+    x, v, dx = probe.positions, probe.velocities, np.empty_like(probe.positions)
+    engine = _Engine(probe, fm, kernel)
+    dt, t0 = cfg.dt, state0.time
+    half = 0.5 * dt  # carried in the acceleration: a holds dt/2 a(x)
+    explicit, implicit = 1.0 - 0.5 * dt * fm.eta, 1.0 + 0.5 * dt * fm.eta
 
-    a = compute_accelerations(probe, None, fm, kernel, include_drag=False)
+    a = compute_accelerations(probe, None, fm, kernel, include_drag=False, engine=engine)
+    a *= half
     for k in range(n_steps + 1):
-        if k > 0:
-            a = _kick_drift_kick(probe, a, fm, kernel, cfg.dt, k)
+        if k > 0:  # kick, drift, kick
+            v *= explicit
+            v += a
+            x += np.multiply(v, dt, out=dx)  # finite x, 0 < dt < inf: finite exactly when v is
+            if not np.isfinite(x).all():
+                raise SimulationDivergedError(k)
+            a = compute_accelerations(probe, None, fm, kernel, include_drag=False, engine=engine)
+            a *= half
+            v += a
+            v /= implicit
+            if not np.isfinite(v).all():
+                raise SimulationDivergedError(k)
         if k in want:
-            t = t0 + k * cfg.dt
+            t = t0 + k * dt
             times.append(t)
-            states.append(ParticleState(probe.masses, probe.positions, probe.velocities, t))
+            states.append(ParticleState(probe.masses, x.copy(), v.copy(), t))
     return Trajectory(times=times, states=states)

@@ -87,9 +87,11 @@ class Gaussian1D(_Radial):
         """Scalar g(r^2) such that grad W(x) = g(|x|^2) * x."""
         return self.grad_const * self.shapes(np.asarray(r2, dtype=float) / (self.h * self.h))[1]
 
-    def shapes(self, u2):
-        """Value and gradient shapes at u^2 = r^2 / h^2: exp(-u^2), one array for both."""
-        return (np.exp(-u2),) * 2
+    def shapes(self, u2, out=None):
+        """Value and gradient shapes at u^2 = r^2 / h^2: exp(-u^2), one array for both,
+        written into ``out[1]`` if an ``out`` pair is given."""
+        g = None if out is None else out[1]
+        return (np.exp(np.negative(u2, out=g), out=g),) * 2
 
     def peak_value(self):
         """sup W = W(0)."""
@@ -140,11 +142,13 @@ class WendlandCubic2D(_Radial):
         """Scalar g(r^2) = -6 sigma (2 - r/h)^2 / h^2 such that grad W(x) = g(|x|^2) * x."""
         return self.grad_const * self.shapes(np.asarray(r2, dtype=float) / (self.h * self.h))[1]
 
-    def shapes(self, u2):
+    def shapes(self, u2, out=None):
         """Value and gradient shapes (1 + 1.5 q) t^3 and t^2 at u^2 = r^2 / h^2,
-        with q = u and t = max(2 - q, 0), from one sqrt and worked in place."""
-        q = np.sqrt(u2)
-        t = np.maximum(2.0 - q, 0.0)
+        with q = u and t = max(2 - q, 0), from one sqrt and worked in place: in
+        the ``out`` pair of arrays if given, whose first may be u2 itself."""
+        q, t = (None, None) if out is None else out
+        q = np.sqrt(u2, out=q)
+        t = np.maximum(np.subtract(2.0, q, out=t), 0.0, out=t)
         q *= 1.5
         q += 1.0
         q *= t

@@ -9,23 +9,22 @@ The acceleration of particle k is
 with rho_k = sum_j m_j W_h(x_k - x_j), the j = k self-term included.  The i = k
 terms vanish, since grad W_h(0) = 0 and K(0) = 0.
 
-:func:`compute_accelerations` adds the terms, each pair sum on its own walk,
-:func:`_pair_blocks`: ``_BLOCK`` consecutive targets against the sources within
-the cutoff along x_0, the particles sorted once along x_0 (the index-sort neighbor
-search of Ihmsen et al., Eurographics STAR 2014, on one axis), or against all
-sources (:func:`_band`; always for K, which has no support).  A block's tail, the
-sources past its targets, gives the transposed sums too, so only pairs within a
+:func:`compute_accelerations` adds the terms, each pair sum on its own walk
+(:class:`_Walk`): ``_BLOCK`` consecutive targets against the sources within the
+cutoff along x_0, the particles sorted along x_0 at each placement (the index-sort
+neighbor search of Ihmsen et al., Eurographics STAR 2014, on one axis), or against
+all sources (:func:`_band`; always for K, which has no support).  A block's tail,
+the sources past its targets, gives the transposed sums too, so only pairs within a
 block are evaluated twice; pairs beyond the support give exact zeros.  A walk runs
 relative to its first source, in units of h for W_h, so results are invariant
 under translation.  Squared distances are one matrix product per block, and each
 pair sum one more, whose n rows take the kernel constants and F(rho_k).  Blocks
 come in a fixed order, so results are bitwise reproducible.  The pressure sum
-reuses the gradient shapes of rho's walk, and the module holds no state.
-Importing it tunes glibc's allocator to reuse block temporaries.
+reuses the gradient shapes of rho's walk.  Each walk owns the buffers its
+evaluations write, and a run keeps its walks in one :class:`_Engine`, so its steps
+leave no block temporaries to the allocator.  The module holds no state.
 """
 
-import ctypes
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -44,29 +43,9 @@ __all__ = [
     "check_support",
 ]
 
-_BLOCK = 128  # most targets in one block: about _BLOCK * n doubles per temporary
+_BLOCK = 128  # most targets in one block: a walk's block buffers hold _BLOCK * n doubles
 
-_SLOT_ENTRIES = 2**22  # gradient shapes one evaluation keeps for its pressure sum: 32 MB
-
-
-def _keep_freed_blocks():
-    """Keep freed pair blocks in the heap.  By default glibc hands each
-    evaluation's ``_BLOCK`` x n temporaries back to the kernel, and the next one
-    page-faults them in again: about 40k minor faults and 1.4-1.6x the time of a
-    dense 256-particle study on a 2-vCPU Xeon.  Blocks up to 32 MB now come from
-    the heap and up to 64 MB of freed heap stays mapped; peak memory is
-    unchanged.  Without ``mallopt``, a no-op."""
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt(-3, 32 * 2**20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 * 2**20)  # M_TRIM_THRESHOLD
-
-
-_keep_freed_blocks()
+_SLOT_ENTRIES = 2**22  # most gradient shapes one evaluation keeps for its pressure sum: 32 MB
 
 
 @dataclass
@@ -127,89 +106,126 @@ def compute_density(state, kernel):
 
 def _density_at(y, state, kernel):
     """Regularized density sum_j m_j W_h(y_k - x_j) of ``state`` at points y."""
-    band = _band(kernel, y.shape[0])
-    ys, xs, order_y, order_x = _walk_coords(y, state.positions, kernel.h, band is not None)
-    m = state.masses if order_x is None else state.masses[order_x]
-    rho = _density_and_blocks(ys, xs, m, kernel, band)
-    return rho if order_y is None else _unsorted(rho, order_y)
+    x, other = state.positions, y is not state.positions
+    walk = _Walk(state.masses, x.shape[1], kernel.h, _band(kernel, y.shape[0]),
+                 n_targets=y.shape[0] if other else None)
+    walk.place(x, y if other else None)
+    return _unsorted(_density_and_blocks(walk, kernel), walk.order_y)
 
 
-def _density_and_blocks(ys, xs, m, kernel, cutoff, slot=None):
-    """rho at ``ys`` from the walk on ``cutoff``, in walk coordinates, keeping its blocks
-    ``(rows, cols, g)`` in ``slot``, if given, unless their g pass ``_SLOT_ENTRIES``."""
-    rho, size = np.empty(ys.shape[0]), 0
-    for rows, cols, u2 in _pair_blocks(ys, xs, cutoff):
-        w, g = kernel.shapes(u2)
-        size += g.size
-        if slot is not None and size <= _SLOT_ENTRIES:
+def _density_and_blocks(walk, kernel, slot=None):
+    """rho at the placed walk's targets, in its order, keeping the blocks ``(rows,
+    cols, g)`` in ``slot``, if given, with g in the walk's kept storage."""
+    rho, tail = walk.rho, (walk.tail if walk.same else None)
+    if slot is not None and walk.kept.size < walk.entries:
+        walk.kept = np.empty(walk.entries)
+    used = 0
+    for rows, cols, u2, work in walk.blocks():
+        g = work[0]
+        if slot is not None:
+            g = walk.kept[used:used + u2.size].reshape(u2.shape)
+            used += u2.size
+        w, g = kernel.shapes(u2, (u2, g))
+        if slot is not None:
             slot.append((rows, cols, g))
-        elif slot:
-            slot.clear()
-        _sum_pairs(rho, w, m, rows, cols, ys is xs)
+        _sum_pairs(rho, w, walk.m, rows, cols, tail)
     rho *= kernel.norm_const
     return rho
 
 
-def compute_accelerations(state, rho, fm, kernel, include_drag=True):
+def compute_accelerations(state, rho, fm, kernel, include_drag=True, engine=None):
     """Per-particle accelerations of the theta-parameterized scheme, (n, d).
 
     ``rho`` is :func:`compute_density` of the same state, or None for a pressure
     law to compute it in one walk whose blocks its pressure sum reuses (without
-    one, rho is not read).  ``include_drag=False`` leaves -eta v to the integrator."""
-    if state.dim != kernel.dim:
-        raise ValueError(f"state dimension {state.dim} != kernel dimension {kernel.dim}")
-    x = state.positions
-    acc = np.zeros_like(x) if fm.eos is None else _pressure_accel(state, rho, fm, kernel)
-    if fm.interaction is not None:
-        acc += _interaction_accel(state, fm.interaction)
-    if fm.v_ext is not None:
-        acc -= fm.v_ext.gradient(x)
-    if include_drag:
-        acc -= fm.eta * state.velocities
-    return acc
+    one, rho is not read).  ``include_drag=False`` leaves -eta v to the integrator.
+
+    ``engine`` is the handle of a run: ``_Engine(state0, fm, kernel)``, built once
+    for states with state0's masses, whose walks and buffers every evaluation
+    reuses.  The result is then the engine's own array, which its next evaluation
+    overwrites.  Without one, the evaluation builds a throwaway engine, so both
+    take the same walks and give the same bits."""
+    if engine is None:
+        engine = _Engine(state, fm, kernel)
+    return engine.accelerations(state, rho, include_drag)
 
 
-def _pressure_accel(state, rho, fm, kernel):
-    """The pressure term, from the g kept by the walk for rho, or a fresh walk for g
-    when rho is supplied or the blocks pass ``_SLOT_ENTRIES``."""
-    band = _band(kernel, state.n)
-    _, xs, _, order = _walk_coords(state.positions, state.positions, kernel.h, band is not None)
-    m, slot = (state.masses if order is None else state.masses[order]), []
+class _Engine:
+    """The force evaluations of one run: a walk per pair term, built from the
+    masses, the force model and the kernel, and the acceleration they fill."""
+
+    def __init__(self, state, fm, kernel):
+        if state.dim != kernel.dim:
+            raise ValueError(f"state dimension {state.dim} != kernel dimension {kernel.dim}")
+        m, d = state.masses, state.dim
+        self.fm, self.kernel = fm, kernel
+        self.acc = np.empty((state.n, d))
+        self.pressure = self.interaction = None
+        if fm.eos is not None:
+            sums = 2 if fm.theta else 1  # c = m(, m F)
+            self.pressure = _Walk(m, d, kernel.h, _band(kernel, state.n), sums * (d + 1))
+        if fm.interaction is not None:
+            self.interaction = _Walk(m, d, width=d + 1, work=4)
+
+    def accelerations(self, state, rho, include_drag):
+        """:func:`compute_accelerations` at the state, in the engine's array."""
+        fm, acc, x = self.fm, self.acc, state.positions
+        if self.pressure is not None:
+            _pressure_accel(self.pressure, x, rho, fm, self.kernel, acc)
+        if self.interaction is not None:
+            k = _interaction_accel(self.interaction, x, fm.interaction)
+            np.add(0.0 if self.pressure is None else acc, k, out=acc)  # 0 + K, -0.0 as 0.0
+        elif self.pressure is None:
+            acc.fill(0.0)
+        if fm.v_ext is not None:
+            acc -= fm.v_ext.gradient(x)
+        if include_drag:
+            acc -= fm.eta * state.velocities
+        return acc
+
+
+def _pressure_accel(walk, x, rho, fm, kernel, acc):
+    """The pressure term at x into ``acc``, from the g kept by the walk for rho, or
+    a fresh pass for g when rho is supplied or the blocks pass ``_SLOT_ENTRIES``."""
+    walk.place(x)
+    slot = []
     if rho is None:
-        rho = _density_and_blocks(xs, xs, m, kernel, band, slot)
-    elif order is not None:
-        rho = rho[order]
+        rho = _density_and_blocks(walk, kernel, slot if walk.entries <= _SLOT_ENTRIES else None)
+    elif walk.order is not None:
+        rho = rho[walk.order]
     F = f_theta(fm.eos, fm.theta, rho)
-    blocks = slot or ((r, c, kernel.shapes(u2)[1]) for r, c, u2 in _pair_blocks(xs, xs, band))
-    sums = _pair_sums(blocks, xs, m, F if fm.theta else None)
-    acc = sums[:, 0] * F[:, None]
+    blocks = slot or ((r, c, kernel.shapes(u2, (u2, work[0]))[1])
+                      for r, c, u2, work in walk.blocks())
+    sums = _pair_sums(blocks, walk, F if fm.theta else None)
+    out = acc if walk.order is None else sums[:, 0]
+    np.multiply(sums[:, 0], F[:, None], out=out)
     if fm.theta:  # the F_i term
-        acc += sums[:, 1]
-    acc *= -kernel.h * kernel.grad_const
-    return acc if order is None else _unsorted(acc, order)
+        out += sums[:, 1]
+    out *= -kernel.h * kernel.grad_const
+    if walk.order is not None:
+        acc[walk.order] = out
 
 
-def _interaction_accel(state, interaction):
-    """The interaction term, on one walk over all pairs relative to x_0."""
-    xs = state.positions - state.positions[:1]
-    blocks = ((r, c, interaction.force_scale(np.sqrt(r2))) for r, c, r2 in _pair_blocks(xs, xs))
-    return _pair_sums(blocks, xs, state.masses)[:, 0]
+def _interaction_accel(walk, x, interaction):
+    """The interaction term at x, on the walk over all pairs relative to x_0."""
+    walk.place(x)
+    blocks = ((r, c, interaction.force_scale(np.sqrt(r2, out=r2), work))
+              for r, c, r2, work in walk.blocks())
+    return _pair_sums(blocks, walk)[:, 0]
 
 
-def _pair_sums(blocks, xs, m, F=None):
+def _pair_sums(blocks, walk, F=None):
     """sum_i w_ki c_i (x_k - x_i) = x_k (w @ c)_k - (w @ c x)_k over the ``(rows, cols,
-    w)`` blocks, for c = m and, with F, c = m F: one product per block and tail."""
-    n, d = xs.shape
-    src = np.empty((n, (d + 1) * (1 if F is None else 2)))  # [m, m x(, m F, m F x)]
-    src[:, 0] = m
-    np.multiply(m[:, None], xs, out=src[:, 1:d + 1])
+    w)`` blocks, for c = m and, with F, c = m F: one product per block and tail.  An
+    (n, 1 or 2, d) array of the walk's."""
+    src, out = walk.src, walk.out
+    np.multiply(walk.m_col, walk.xs, out=walk.src_mx)
     if F is not None:
-        np.multiply(src[:, :d + 1], F[:, None], out=src[:, d + 1:])
-    out = np.empty(src.shape)
+        np.multiply(walk.src_c, F[:, None], out=walk.src_cF)
     for rows, cols, w in blocks:
-        _sum_pairs(out, w, src, rows, cols)
-    out = out.reshape(n, -1, d + 1)
-    return xs[:, None] * out[:, :, :1] - out[:, :, 1:]
+        _sum_pairs(out, w, src, rows, cols, walk.tail)
+    xs, wc, wcx = walk.fold
+    return np.subtract(np.multiply(xs, wc, out=walk.sums), wcx, out=walk.sums)
 
 
 def momentum(state):
@@ -231,62 +247,133 @@ def angular_momentum(state):
 # pair engine
 
 
-def _pair_blocks(y, x, cutoff=None):
-    """Yield ``(rows, cols, u2)``, last block first: slices of the targets ``y``
-    and sources ``x``, each target in one block of at most ``_BLOCK``, and u2 =
-    [|y|^2, 1, -2 y] @ [1, |x|^2, x]^T, which rounds with eps times the squared
-    extent.  The sources lie within the cutoff along x_0 of the block's targets
-    (``y`` and ``x`` sorted along x_0), or are all; if ``y is x``, from its first
-    target on (see :func:`_sum_pairs`)."""
-    d, n = x.shape[1], x.shape[0]
-    b = np.empty((d + 2, n))
-    b[0], b[2:] = 1.0, x.T
-    np.einsum("id,id->i", x, x, out=b[1])
-    a = np.empty((y.shape[0], d + 2))
-    a[:, 0] = b[1] if y is x else np.einsum("id,id->i", y, y)
-    a[:, 1] = 1.0
-    np.multiply(y, -2.0, out=a[:, 2:])
-    for s in reversed(range(0, len(y), _BLOCK)):  # a row's tail sums come after its own
-        e = len(y) if s + _BLOCK > len(y) else s + _BLOCK
-        lo, hi = (s if y is x else 0), n
-        if cutoff is not None:  # the band along x_0
-            if y is not x:
-                lo = int(np.searchsorted(x[:, 0], y[s, 0] - cutoff))
-            hi = int(np.searchsorted(x[:, 0], y[e - 1, 0] + cutoff, "right"))
-        yield slice(s, e), slice(lo, hi), _sq_dists(a[s:e], b if hi - lo == n else b[:, lo:hi])
+class _Walk:
+    """One pair walk's buffers, which every evaluation of a run reuses: sources and
+    targets in walk coordinates, the factors [|y|^2, 1, -2 y] and [1, |x|^2, x]^T
+    of the blocks' squared distances, with their constant rows set once, the
+    sums' sources [m, m x, ...] of ``width`` columns, and ``work`` block-sized
+    scratch arrays.
+
+    Sources at x, and targets at y, are placed relative to x_0 in units of
+    ``unit``.  With a ``cutoff`` both are sorted stably along x_0 at each
+    placement, and a block meets the sources within the cutoff along x_0 of its
+    targets; without one, all sources.  The targets are the sources themselves,
+    met from each block's first target on (see :func:`_sum_pairs`), unless the
+    walk is built for ``n_targets`` other points."""
+
+    def __init__(self, masses, dim, unit=1.0, cutoff=None, width=0, work=1, n_targets=None):
+        n = masses.shape[0]
+        self.same = n_targets is None
+        nt = n if self.same else n_targets
+        self.masses, self.unit, self.cutoff = masses, unit, cutoff
+        self.order = self.order_y = None
+        sort = cutoff is not None
+        self.x_rel = np.empty((n, dim))
+        self.xs = np.empty((n, dim)) if sort else self.x_rel
+        self.y_rel = None if self.same else np.empty((nt, dim))
+        self.ys = self.xs if self.same else (np.empty((nt, dim)) if sort else self.y_rel)
+        self.m = np.empty(n) if sort else masses
+        self.b = np.empty((dim + 2, n))
+        self.a = np.empty((nt, dim + 2))
+        self.b[0], self.a[:, 1] = 1.0, 1.0
+        self.b_sq, self.b_x = self.b[1], self.b[2:]
+        self.a_sq, self.a_y = self.a[:, 0], self.a[:, 2:]
+        self.rho = np.empty(nt)
+        self.tail = np.empty(n * max(width, 1))
+        block = min(nt, _BLOCK) * n
+        arena = np.empty((1 + work) * block)
+        self.r2, self.work = arena[:block], arena[block:].reshape(work, block)
+        self.kept = np.empty(0)  # the g of a pressure sum, grown to the blocks' size
+        self.src = np.empty((n, width))
+        self.out = np.empty((nt, width))
+        if width:  # views of the pair sums, which run on sources as targets
+            d1 = dim + 1
+            self.src[:, 0] = masses
+            self.m_col, self.src_mx = self.m[:, None], self.src[:, 1:d1]
+            self.src_c, self.src_cF = self.src[:, :d1], self.src[:, d1:]
+            self.sums = np.empty((n, width // d1, dim))
+            out = self.out.reshape(n, -1, d1)
+            self.fold = (self.xs[:, None], out[:, :, :1], out[:, :, 1:])
+        self.starts = np.arange(0, nt, _BLOCK)[::-1]  # a row's tail sums come after its own
+        self.lasts = np.minimum(self.starts + _BLOCK, nt) - 1
+        if not sort:
+            self._set_bounds(self.starts if self.same else 0 * self.starts, [n] * len(self.starts))
+
+    def place(self, x, y=None):
+        """Put the sources at x, and the targets at y if the walk has other targets:
+        their walk coordinates and sort, the factors and the blocks' bounds."""
+        x_rel = np.subtract(x, x[:1], out=self.x_rel)
+        if self.unit != 1.0:
+            x_rel /= self.unit
+        if y is not None:
+            y_rel = np.subtract(y, x[:1], out=self.y_rel)
+            if self.unit != 1.0:
+                y_rel /= self.unit
+        if self.cutoff is not None:
+            self.order = np.argsort(x_rel[:, 0], kind="stable")
+            np.take(x_rel, self.order, axis=0, out=self.xs)
+            np.take(self.masses, self.order, out=self.m)
+            if self.src.shape[1]:
+                self.src[:, 0] = self.m
+            self.order_y = self.order
+            if y is not None:
+                self.order_y = np.argsort(y_rel[:, 0], kind="stable")
+                np.take(y_rel, self.order_y, axis=0, out=self.ys)
+        xs, ys = self.xs, self.ys
+        self.b_x[...] = xs.T
+        np.einsum("id,id->i", xs, xs, out=self.b_sq)
+        self.a_sq[...] = self.b_sq if self.same else np.einsum("id,id->i", ys, ys)
+        np.multiply(ys, -2.0, out=self.a_y)
+        if self.cutoff is not None:  # the band along x_0
+            x0, y0 = xs[:, 0], ys[:, 0]
+            his = np.searchsorted(x0, y0[self.lasts] + self.cutoff, "right")
+            los = self.starts if self.same else np.searchsorted(x0, y0[self.starts] - self.cutoff)
+            self._set_bounds(los, his)
+
+    def _set_bounds(self, los, his):
+        """Each block's slices, factors and buffers, from its first and last source."""
+        n, self.bounds, self.entries = self.b.shape[1], [], 0
+        for s, e, lo, hi in zip(self.starts.tolist(), self.lasts.tolist(),
+                                np.asarray(los).tolist(), np.asarray(his).tolist()):
+            k, c = e + 1 - s, hi - lo
+            rows, cols = slice(s, e + 1), slice(lo, hi)
+            self.bounds.append((rows, cols, self.a[rows], self.b if c == n else self.b[:, cols],
+                                self.r2[:k * c].reshape(k, c),
+                                tuple(self.work[:, :k * c].reshape(len(self.work), k, c))))
+            self.entries += k * c
+
+    def blocks(self):
+        """Yield ``(rows, cols, r2, work)``, last block first: slices of the placed
+        targets and sources, r2 = [|y|^2, 1, -2 y] @ [1, |x|^2, x]^T in the walk's
+        block buffer, which rounds with eps times the squared extent, and the
+        block's scratch arrays."""
+        for rows, cols, a, b, r2, work in self.bounds:
+            yield rows, cols, _sq_dists(a, b, r2), work
 
 
-def _sum_pairs(out, w, c, rows, cols, tail=True):
-    """out[rows] = w @ c[cols]; with ``tail``, the block's sources past its
-    targets also get the transposed sums w[:, k:]^T @ c[rows], k targets."""
-    out[rows] = w @ c[cols]
-    if tail and cols.stop > rows.stop:
-        out[rows.stop:cols.stop] += w[:, rows.stop - rows.start:].T @ c[rows]
-
-
-def _walk_coords(y, x, h, sort=False):
-    """``(ys, xs, order_y, order_x)``: y and x relative to the first source in units
-    of h, and if ``sort``, each sorted stably along x_0 by its order (else None)."""
-    xs = (x - x[:1]) / h
-    ys = xs if y is x else (y - x[:1]) / h
-    if not sort:
-        return ys, xs, None, None
-    order_x = np.argsort(xs[:, 0], kind="stable")
-    order_y = order_x if y is x else np.argsort(ys[:, 0], kind="stable")
-    xs = xs[order_x]
-    return (xs if y is x else ys[order_y]), xs, order_y, order_x
+def _sum_pairs(out, w, c, rows, cols, tail=None):
+    """out[rows] = w @ c[cols]; with a ``tail`` buffer, the block's sources past
+    its targets also get the transposed sums w[:, k:]^T @ c[rows], k targets."""
+    np.matmul(w, c[cols], out=out[rows])
+    if tail is not None and cols.stop > rows.stop:
+        shape = (cols.stop - rows.stop,) + c.shape[1:]
+        t = np.matmul(w[:, rows.stop - rows.start:].T, c[rows],
+                      out=tail[:shape[0] * c[0].size].reshape(shape))
+        out[rows.stop:cols.stop] += t
 
 
 def _unsorted(a, order):
-    """``a``, sorted by ``order``, back in the particles' order."""
+    """``a``, sorted by ``order`` (None: unsorted), back in the particles' order."""
+    if order is None:
+        return a
     out = np.empty_like(a)
     out[order] = a
     return out
 
 
-def _sq_dists(a, b):
-    """A block's squared distances from the factors of :func:`_pair_blocks`."""
-    r2 = a @ b
+def _sq_dists(a, b, out):
+    """A block's squared distances from the factors of :class:`_Walk`, into ``out``."""
+    r2 = np.matmul(a, b, out=out)
     return np.maximum(r2, 0.0, out=r2)  # clip the cancellation noise
 
 

@@ -67,6 +67,13 @@ class TestRunCommand:
         assert main(["run", str(cfg_path)]) == 2
         assert "viscosity" in capsys.readouterr().err
 
+    def test_two_rungs_exit_2_naming_resolutions_and_write_nothing(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, resolutions=[1, 2])
+        assert main(["run", str(cfg_path)]) == 2
+        assert "resolutions" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_json(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
@@ -187,8 +194,8 @@ class TestVerifyCommand:
 
         original = WendlandCubic2D.shapes
 
-        def corrupted(self, u2):
-            w, g = original(self, u2)
+        def corrupted(self, u2, out=None):
+            w, g = original(self, u2, out)
             g = np.atleast_2d(np.asarray(g, dtype=float).copy())
             g[:, ::2] *= -1.0
             return w, g

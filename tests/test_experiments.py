@@ -166,6 +166,18 @@ class TestStudy:
         assert exc_info.value.k == 1
         assert "k=1" in str(exc_info.value)
 
+    def test_two_rung_plan_fails_before_any_rung(self, monkeypatch):
+        # two rungs give one distance and no rate: nothing may be simulated
+        from sphwass import experiments as exp
+
+        def refuse(*args):
+            raise AssertionError("a rung ran for a plan without a rate")
+
+        monkeypatch.setattr(exp, "_single_run", refuse)
+        with pytest.raises(ParameterError) as err:
+            run_convergence_study(tiny_plan(resolutions=(1, 2)))
+        assert err.value.name == "resolutions"
+
     def test_iid_mode_runs(self):
         result = run_convergence_study(tiny_plan(init_mode="iid", seed=3))
         assert np.all(result.sup_distances > 0)

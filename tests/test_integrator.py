@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,13 @@ from sphwass import (
     SimulationDivergedError,
     WendlandCubic2D,
     angular_momentum,
+    compute_accelerations,
     compute_density,
     equipartition,
     momentum,
     preset,
     run,
+    sample_iid,
 )
 from sphwass.params import ParameterError
 
@@ -273,3 +277,111 @@ class TestConfigValidation:
     def test_rejects_out_of_range_snapshots(self):
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.1, t_end=1.0, snapshot_times=(2.0,))
+
+
+def per_call_run(state0, fm, kernel, dt, n_steps):
+    """Kick-drift-kick with fresh arrays, a validated state and a fresh
+    compute_accelerations per step, in the operation order of ``run``."""
+    x, v = state0.positions.copy(), state0.velocities.copy()
+
+    def accel(x):
+        state = ParticleState(state0.masses, x, v)
+        return compute_accelerations(state, None, fm, kernel, include_drag=False)
+
+    a = accel(x)
+    for _ in range(n_steps):
+        v = v * (1.0 - 0.5 * dt * fm.eta) + 0.5 * dt * a
+        x = x + dt * v
+        a = accel(x)
+        v = (v + 0.5 * dt * a) / (1.0 + 0.5 * dt * fm.eta)
+    return x, v
+
+
+def morse_swarm(n):
+    spec = preset("morse_cloud_2d", n)
+    return equipartition(spec) if n in (4, 64) else sample_iid(spec, seed=0)
+
+
+def square(n):
+    return equipartition(preset("rotating_square_2d", n))
+
+
+def uneven(state, seed=0):
+    """``state`` with random masses, so a walk's sort shows in its sums."""
+    masses = np.random.default_rng(seed).random(state.n) + 0.1
+    return ParticleState(masses / masses.sum(), state.positions, state.velocities)
+
+
+def stirred(n, seed=0):
+    """A random 2D cloud with random masses and velocities: its sort along x_0 and
+    its band change from step to step."""
+    rng = np.random.default_rng(seed)
+    masses = rng.random(n) + 0.1
+    return ParticleState(masses / masses.sum(), rng.random((n, 2)), rng.standard_normal((n, 2)))
+
+
+def expansion(n):
+    return equipartition(preset("uniform_box_1d", n))
+
+
+MORSE = ForceModel(theta=1, eta=10.0, interaction=MorseInteraction())
+
+ENGINE_CASES = {
+    # Morse at one block, a full block and past _BLOCK
+    "morse-4": (morse_swarm(4), MORSE, WendlandCubic2D(1.0), 1e-2),
+    "morse-64": (morse_swarm(64), MORSE, WendlandCubic2D(1.0), 1e-2),
+    "morse-300": (uneven(morse_swarm(300)), MORSE, WendlandCubic2D(1.0), 1e-2),
+    # one block, no band, fixed h
+    "theta0-64": (square(64), ForceModel(theta=0, eos=EosPolytropic(7.0)),
+                  WendlandCubic2D(1.0), 1e-3),
+    "theta1-64": (square(64), ForceModel(theta=1, eos=EosPolytropic(7.0)),
+                  WendlandCubic2D(1.0), 1e-3),
+    # banded, scaled h
+    "theta0-300-band": (stirred(300), ForceModel(theta=0, eos=EosPolytropic(7.0)),
+                        WendlandCubic2D(0.05), 1e-2),
+    "theta1-300-band": (stirred(300), ForceModel(theta=1, eos=EosPolytropic(2.0)),
+                        WendlandCubic2D(0.05), 1e-2),
+    "gaussian-1d": (expansion(40), ForceModel(theta=1, eos=EosPolytropic(2.0)),
+                    Gaussian1D(0.1), 1e-3),
+    "potential-drag": (square(64), ForceModel(theta=1, eos=EosPolytropic(7.0),
+                                              v_ext=QuadraticPotential(), eta=2.0),
+                       WendlandCubic2D(0.3), 1e-3),
+}
+
+
+class TestEngine:
+    """The run's engine against a fresh evaluation per step: every bit the same."""
+
+    @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+    def test_run_matches_a_fresh_evaluation_per_step(self, case):
+        state0, fm, kernel, dt = ENGINE_CASES[case]
+        n_steps = 6
+        final = run(state0, fm, kernel, IntegratorConfig(dt=dt, t_end=n_steps * dt)).states[-1]
+        x, v = per_call_run(state0, fm, kernel, dt, n_steps)
+        assert final.positions.tobytes() == x.tobytes()
+        assert final.velocities.tobytes() == v.tobytes()
+
+    def test_snapshots_are_copies(self):
+        # the run advances x and v in place; each snapshot keeps its own
+        state0, fm, kernel, dt = ENGINE_CASES["morse-4"]
+        cfg = IntegratorConfig(dt=dt, t_end=4 * dt, snapshot_times=(0.0, 2 * dt, 4 * dt))
+        traj = run(state0, fm, kernel, cfg)
+        for k, snap in zip((0, 2, 4), traj.states):
+            x, v = per_call_run(state0, fm, kernel, dt, k)
+            assert snap.positions.tobytes() == x.tobytes()
+            assert snap.velocities.tobytes() == v.tobytes()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+    def test_warm_dense_run_takes_few_minor_faults(self):
+        # a square-dense-sized run: its walk buffers are 128 x 256 doubles each,
+        # 64 pages; a fresh one per evaluation would fault them in every step
+        import resource
+
+        state0 = square(256)
+        fm, kernel = ForceModel(theta=0, eos=EosPolytropic(7.0)), WendlandCubic2D(1.0)
+        cfg = IntegratorConfig(dt=1e-3, t_end=20e-3)
+        for _ in range(2):  # the heap grows to the run's buffers once
+            run(state0, fm, kernel, cfg)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run(state0, fm, kernel, cfg)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 64

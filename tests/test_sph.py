@@ -212,12 +212,24 @@ def sorted_along_x0(y):
     return y[np.argsort(y[:, 0], kind="stable")]
 
 
+def pair_blocks(y, x, cutoff=None):
+    """The ``(rows, cols, r2)`` blocks of a walk of targets y against sources x, or
+    of x against itself if ``y is x``; sorted along x_0, as with a cutoff, they
+    keep their order."""
+    other = y is not x
+    walk = sph._Walk(np.ones(len(x)), x.shape[1], cutoff=cutoff,
+                     n_targets=len(y) if other else None)
+    walk.place(x, y if other else None)
+    for rows, cols, r2, _ in walk.blocks():
+        yield rows, cols, r2
+
+
 def summed_pairs(y, x, cutoff):
     """How often the walk sums each ordered pair (target k, source i), a tail
     for both orders, how often it visits each target, and the pairs within
     the cutoff by its own squared distances; checks each block's shape."""
     counts, visits, found = np.zeros((len(y), len(x)), int), np.zeros(len(y), int), set()
-    for rows, cols, r2 in sph._pair_blocks(y, x, cutoff):
+    for rows, cols, r2 in pair_blocks(y, x, cutoff):
         assert rows.stop - rows.start <= sph._BLOCK
         assert r2.shape == (rows.stop - rows.start, cols.stop - cols.start)
         visits[rows] += 1
@@ -254,13 +266,13 @@ class TestPairBlocks:
         # a 100x100 grid against 200 sources with cutoff 0.5: blocks of at
         # most _BLOCK consecutive targets tile the grid, and every source
         # left out of a block is beyond the cutoff along x_0 of its targets
-        from sphwass.sph import _BLOCK, _pair_blocks
+        from sphwass.sph import _BLOCK
 
         axes = np.meshgrid(*[np.linspace(0.0, 3.0, 100)] * 2, indexing="ij")
         grid = np.stack([a.ravel() for a in axes], axis=1)
         x = sorted_along_x0(rng.random((200, 2)) * 3.0)
         bounds = []
-        for rows, cols, r2 in _pair_blocks(grid, x, 0.5):
+        for rows, cols, r2 in pair_blocks(grid, x, 0.5):
             assert r2.shape[0] <= _BLOCK
             bounds.append((rows.start, rows.stop))
             out = np.ones(len(x), bool)
@@ -274,15 +286,15 @@ class TestPairBlocks:
     def test_dense_blocks_tile_the_pair_matrix(self, rng):
         # without a cutoff: other targets meet every source, and the sources
         # against themselves the upper block triangle, from each block's first target
-        from sphwass.sph import _BLOCK, _pair_blocks
+        from sphwass.sph import _BLOCK
 
         y, x = rng.random((_BLOCK + 7, 2)), rng.random((9, 2))
         r2 = np.empty((len(y), len(x)))
-        for rows, cols, block in _pair_blocks(y, x):
+        for rows, cols, block in pair_blocks(y, x):
             assert cols == slice(0, len(x))
             r2[rows] = block
         np.testing.assert_allclose(r2, direct_sq_dists(y, x), atol=1e-15)
-        for rows, cols, r2 in _pair_blocks(y, y):
+        for rows, cols, r2 in pair_blocks(y, y):
             assert cols == slice(rows.start, len(y))
             np.testing.assert_allclose(r2, direct_sq_dists(y[rows], y[cols]), atol=1e-15)
 
@@ -294,10 +306,9 @@ class TestPairBlocks:
         for n in range(1, 601, 7):
             x = (rng.random((n, dim)) * 4.0 - 1.2) * rng.choice([1.0, 30.0])
             x += rng.choice([0.0, 1e4]) * np.ptp(x)
-            ys, xs, _, _ = sph._walk_coords(x, x, 1.0)
             direct = direct_sq_dists(x, x)
             extent2 = (np.ptp(x, axis=0) ** 2).sum()
-            for rows, cols, r2 in sph._pair_blocks(ys, xs):
+            for rows, cols, r2 in pair_blocks(x, x):
                 error = np.abs(r2 - direct[rows, cols]).max()
                 assert error <= 4.0 * np.finfo(float).eps * extent2
 
@@ -324,9 +335,9 @@ class TestEachPairOnce:
                               np.zeros((n, 2)))
         sizes, shapes = [], WendlandCubic2D.shapes
 
-        def counted(self, u2):
+        def counted(self, u2, out=None):
             sizes.append(u2.size)
-            return shapes(self, u2)
+            return shapes(self, u2, out)
 
         monkeypatch.setattr(WendlandCubic2D, "shapes", counted)
         compute_accelerations(state, None, hydro_model(7.0, 1), WendlandCubic2D(1.0))
@@ -349,13 +360,13 @@ class TestBlockSlot:
     @staticmethod
     def count_block_passes(monkeypatch):
         calls = []
-        engine = sph._pair_blocks
+        engine = sph._Walk.blocks
 
-        def counted(y, x, cutoff=None):  # counts the passes that start
-            calls.append(cutoff)
-            yield from engine(y, x, cutoff)
+        def counted(walk):  # counts the passes that start
+            calls.append(walk.cutoff)
+            yield from engine(walk)
 
-        monkeypatch.setattr(sph, "_pair_blocks", counted)
+        monkeypatch.setattr(sph._Walk, "blocks", counted)
         return calls
 
     @staticmethod
@@ -373,8 +384,8 @@ class TestBlockSlot:
         kept = []
         shapes = WendlandCubic2D.shapes
 
-        def watched(self, u2):
-            w, g = shapes(self, u2)
+        def watched(self, u2, out=None):
+            w, g = shapes(self, u2, out)
             kept.append(weakref.ref(g))
             return w, g
 
@@ -391,19 +402,19 @@ class TestBlockSlot:
         # from the walk's slot, and a supplied rho walks afresh for g
         state, kernel, fm = setup
         calls, blocks = [], []
-        shapes, engine = WendlandCubic2D.shapes, sph._pair_blocks
+        shapes, engine = WendlandCubic2D.shapes, sph._Walk.blocks
 
-        def counted_shapes(self, u2):
+        def counted_shapes(self, u2, out=None):
             calls.append(u2.shape)
-            return shapes(self, u2)
+            return shapes(self, u2, out)
 
-        def counted_blocks(y, x, cutoff=None):
-            for block in engine(y, x, cutoff):
+        def counted_blocks(walk):
+            for block in engine(walk):
                 blocks.append(block[2].shape)
                 yield block
 
         monkeypatch.setattr(WendlandCubic2D, "shapes", counted_shapes)
-        monkeypatch.setattr(sph, "_pair_blocks", counted_blocks)
+        monkeypatch.setattr(sph._Walk, "blocks", counted_blocks)
         acc = compute_accelerations(state, None, fm, kernel)
         walked = list(blocks)
         assert calls == walked and walked
@@ -422,9 +433,9 @@ class TestBlockSlot:
         calls = self.count_block_passes(monkeypatch)
         shaped, shapes = [], WendlandCubic2D.shapes
 
-        def counted(self, u2):
+        def counted(self, u2, out=None):
             shaped.append(len(calls))
-            return shapes(self, u2)
+            return shapes(self, u2, out)
 
         monkeypatch.setattr(WendlandCubic2D, "shapes", counted)
         acc = compute_accelerations(state, None, fm, kernel)
@@ -439,9 +450,9 @@ class TestBlockSlot:
         state, kernel, fm = setup
         sizes, shapes = [], WendlandCubic2D.shapes
 
-        def counted(self, u2):
+        def counted(self, u2, out=None):
             sizes.append(u2.size)
-            return shapes(self, u2)
+            return shapes(self, u2, out)
 
         monkeypatch.setattr(WendlandCubic2D, "shapes", counted)
         compute_accelerations(state, None, fm, kernel)
@@ -523,7 +534,7 @@ def force_direct_sq_dists(monkeypatch):
     # coordinates: beyond 1e-13 in rho for extent/h near 800.  Direct
     # differences of the factors' coordinates round the same in any block.
     monkeypatch.setattr(
-        sph, "_sq_dists", lambda a, b: direct_sq_dists(-0.5 * a[:, 2:], b[2:].T)
+        sph, "_sq_dists", lambda a, b, out: direct_sq_dists(-0.5 * a[:, 2:], b[2:].T)
     )
 
 
