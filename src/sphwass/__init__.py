@@ -38,13 +38,12 @@ from .integrator import (
 from .kernels import Gaussian1D, WendlandCubic2D
 from .sph import (
     ParticleState,
-    SupportDiagnostic,
     angular_momentum,
     check_support,
     compute_accelerations,
     compute_density,
     momentum,
-    support_bound,
+    support_radii,
 )
 from .transport import (
     DiscreteMeasure,

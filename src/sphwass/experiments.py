@@ -32,11 +32,13 @@ from .initial import equipartition, preset, sample_iid, select_h
 from .integrator import IntegratorConfig, SimulationDivergedError, run
 from .kernels import KERNEL_FOR_DIM
 from .params import ParameterError
-from .sph import SupportDiagnostic, check_support, compute_density, support_bound
+from .sph import check_support, compute_density, support_radii
 from .sph import _density_at
 from .transport import (
+    DEFAULT_PAIR_BUDGET,
     FLOAT_FMT,
     DiscreteMeasure,
+    _check_budget,
     convergence_rates,
     sup_wasserstein_over_time,
     write_csv,
@@ -103,8 +105,9 @@ class ExperimentPlan:
         if self.family not in FAMILIES:
             raise ParameterError("family", f"unknown family {self.family!r}")
         ks = tuple(int(k) for k in self.resolutions)
-        if len(ks) < 2 or ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
-            raise ParameterError("resolutions", "need two or more increasing resolutions >= 1")
+        # a rate compares two consecutive distances, so three rungs
+        if len(ks) < 3 or ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
+            raise ParameterError("resolutions", "need three or more increasing resolutions >= 1")
         object.__setattr__(self, "resolutions", ks)
         if self.n_snapshots < 2:
             raise ParameterError("n_snapshots", "need at least two snapshot times")
@@ -197,14 +200,8 @@ def _single_run(plan, k):
     except SimulationDivergedError as err:
         raise StudyDivergedError(plan.family, k, err.step_index) from err
 
-    support_ok = support_radii = None
-    if plan.theta == 1 and not plan.outside_assumption_coverage():
-        diag = SupportDiagnostic.for_theta1(state0, fm, kernel)
-        if diag is not None:
-            support_radii = [support_bound(diag, t) for t in traj.times]
-            support_ok = [
-                check_support(s, r) for s, r in zip(traj.states, support_radii)
-            ]
+    radii = support_radii(state0, fm, kernel, traj.times)
+    support_ok = None if radii is None else list(map(check_support, traj.states, radii))
     vmax = float(np.linalg.norm(traj.states[-1].velocities, axis=1).max())
     return RunRecord(
         k=k,
@@ -212,7 +209,7 @@ def _single_run(plan, k):
         h=h,
         trajectory=traj,
         support_ok=support_ok,
-        support_radii=support_radii,
+        support_radii=radii,
         final_max_speed=vmax,
     )
 
@@ -220,15 +217,17 @@ def _single_run(plan, k):
 def run_convergence_study(plan, workers=1, budget=None):
     """Run every resolution of the plan and assemble distances and rates.
 
-    A plan of fewer than three resolutions raises a ``ParameterError`` before
-    its first rung, since it gives no rate.  Resolutions are independent;
-    ``workers > 1`` runs them in separate processes.  Any diverging
-    simulation aborts the study with a :class:`StudyDivergedError` naming
-    the family and resolution.
+    In two dimensions, a W1 cost matrix of the ladder's top pair beyond
+    ``budget`` (None: the transport default) raises a
+    :class:`~sphwass.transport.TransportBudgetError` before the first rung.
+    Resolutions are independent; ``workers > 1`` runs them in separate
+    processes.  Any diverging simulation aborts the study with a
+    :class:`StudyDivergedError` naming the family and resolution.
     """
     ks = list(plan.resolutions)
-    if len(ks) < 3:  # before any rung: a rate compares two consecutive distances
-        raise ParameterError("resolutions", f"a rate needs three or more resolutions, got {ks}")
+    budget = DEFAULT_PAIR_BUDGET if budget is None else budget
+    if plan.dim >= 2:  # the top pair is the largest; 1D distances take no cost matrix
+        _check_budget(plan.particles_at(ks[-2]), plan.particles_at(ks[-1]), budget)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -237,14 +236,13 @@ def run_convergence_study(plan, workers=1, budget=None):
         runs = [_single_run(plan, k) for k in ks]
 
     times = np.asarray(runs[0].trajectory.times)
-    kwargs = {} if budget is None else {"budget": budget}
     snaps = [
         list(zip(r.trajectory.times, map(DiscreteMeasure.from_state, r.trajectory.states)))
         for r in runs
     ]
     pair_distances, sups, argmaxes = [], [], []
     for snaps_lo, snaps_hi in zip(snaps, snaps[1:]):
-        sup, argmax_t, dists = sup_wasserstein_over_time(snaps_lo, snaps_hi, **kwargs)
+        sup, argmax_t, dists = sup_wasserstein_over_time(snaps_lo, snaps_hi, budget)
         pair_distances.append(dists)
         sups.append(sup)
         argmaxes.append(argmax_t)

@@ -25,7 +25,6 @@ evaluations write, and a run keeps its walks in one :class:`_Engine`, so its ste
 leave no block temporaries to the allocator.  The module holds no state.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +33,11 @@ from .forces import f_theta
 
 __all__ = [
     "ParticleState",
-    "SupportDiagnostic",
     "compute_density",
     "compute_accelerations",
     "momentum",
     "angular_momentum",
-    "support_bound",
+    "support_radii",
     "check_support",
 ]
 
@@ -385,58 +383,27 @@ def _band(kernel, n):
 
 
 # ---------------------------------------------------------------------------
-# support diagnostics
+# support bound
 
 
-@dataclass(frozen=True)
-class SupportDiagnostic:
-    """Constants of the a-priori support bound
-
-        r(t) = r0 + t * v0_sup + 0.5 t^2 (M1 + grad_v_sup + k_sup).
-
-    For theta = 1 the constants follow from the kernel and the pressure
-    function: M2 = sup |F1| on [0, sup W], M1 = 2 M2 sup |grad W|.  For
-    theta = 0 the driving bound M1 must be supplied by the caller.
-    """
-
-    r0: float
-    v0_sup: float
-    m1: float
-    m2: float | None = None
-    grad_v_sup: float = 0.0
-    k_sup: float = 0.0
-
-    @classmethod
-    def for_theta1(cls, state, fm, kernel):
-        """Derive the constants for the symmetrized scheme (theta = 1).
-
-        Requires gamma >= 2 so that F1 is bounded on [0, sup W]; below
-        that the constants do not exist and the diagnostic is disabled.
-        """
-        if fm.eos is None:
-            m2 = 0.0
-        elif fm.eos.gamma >= 2.0:
-            m2 = fm.eos.k_eos * kernel.peak_value() ** (fm.eos.gamma - 2.0)
-        else:
-            warnings.warn(
-                "support diagnostic disabled: F1 is unbounded near rho = 0 "
-                f"for gamma = {fm.eos.gamma} < 2",
-                RuntimeWarning,
-            )
+def support_radii(state0, fm, kernel, times):
+    """The a-priori support bound r(t) = r0 + t sup|v0| + t^2/2 (M1 + sup|K|) of the
+    run from state0 at each time, radii that no particle may pass, or None where its
+    constants do not exist.  They exist for theta = 1 without external potential and,
+    with pressure, for gamma >= 2, where M2 = sup F1 on [0, sup W] is finite and
+    M1 = 2 M2 sup|grad W|."""
+    if fm.theta != 1 or fm.v_ext is not None:
+        return None
+    m1 = 0.0
+    if fm.eos is not None:
+        if fm.eos.gamma < 2.0:
             return None
+        m2 = fm.eos.k_eos * kernel.peak_value() ** (fm.eos.gamma - 2.0)
         m1 = 2.0 * m2 * kernel.grad_sup_norm()
-        grad_v_sup = 0.0
-        if fm.v_ext is not None:
-            raise ValueError("supply grad_v_sup explicitly for nonzero potentials")
-        k_sup = fm.interaction.sup_norm() if fm.interaction is not None else 0.0
-        r0 = float(np.linalg.norm(state.positions, axis=1).max())
-        v0_sup = float(np.linalg.norm(state.velocities, axis=1).max())
-        return cls(r0=r0, v0_sup=v0_sup, m1=m1, m2=m2, grad_v_sup=grad_v_sup, k_sup=k_sup)
-
-
-def support_bound(diag, t):
-    """Radius r(t) outside of which no particle may travel."""
-    return diag.r0 + t * diag.v0_sup + 0.5 * t * t * (diag.m1 + diag.grad_v_sup + diag.k_sup)
+    drive = m1 + (fm.interaction.sup_norm() if fm.interaction is not None else 0.0)
+    r0 = float(np.linalg.norm(state0.positions, axis=1).max())
+    v0_sup = float(np.linalg.norm(state0.velocities, axis=1).max())
+    return [r0 + t * v0_sup + 0.5 * t * t * drive for t in times]
 
 
 def check_support(state, bound):

@@ -251,12 +251,7 @@ def w1_lp(mu, nu, budget=DEFAULT_PAIR_BUDGET):
     Returns ``(distance, TransportPlan)``.
     """
     _check_same_dim(mu, nu)
-    n_s, n_t = mu.n, nu.n
-    if n_s * n_t > budget:
-        raise TransportBudgetError(
-            f"cost matrix {n_s} x {n_t} = {n_s * n_t} entries exceeds the "
-            f"budget of {budget}; subsample the measures or raise the budget"
-        )
+    _check_budget(mu.n, nu.n, budget)
     cost = np.linalg.norm(mu.points[:, None, :] - nu.points[None, :, :], axis=-1)
     if _assignment_applies(mu, nu, budget):
         ii, jj, mass = _solve_assignment(mu.weights, nu.weights, cost)
@@ -270,6 +265,15 @@ def w1_lp(mu, nu, budget=DEFAULT_PAIR_BUDGET):
         ii, jj, mass = arcs
     total = float(np.sum(mass * cost[ii, jj]))
     return total, TransportPlan(i=ii, j=jj, mass=mass, cost=total)
+
+
+def _check_budget(n_s, n_t, budget):
+    """Raise :class:`TransportBudgetError` if an n_s x n_t cost matrix exceeds the budget."""
+    if n_s * n_t > budget:
+        raise TransportBudgetError(
+            f"cost matrix {n_s} x {n_t} = {n_s * n_t} entries exceeds the "
+            f"budget of {budget}; subsample the measures or raise the budget"
+        )
 
 
 def _assignment_applies(mu, nu, budget):

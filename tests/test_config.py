@@ -9,8 +9,8 @@ from sphwass.cli import main
 from sphwass.config import ConfigError, validate_config
 from sphwass.experiments import ExperimentPlan
 
-BASE = {"family": "rotating_square_2d", "resolutions": [1, 2]}
-MORSE = {"family": "morse_2d", "resolutions": [1, 2]}
+BASE = {"family": "rotating_square_2d", "resolutions": [1, 2, 3]}
+MORSE = {"family": "morse_2d", "resolutions": [1, 2, 3]}
 
 
 def config_with(field, value):
@@ -44,7 +44,7 @@ def test_integer_beyond_the_float_range_rejected():
 def test_nan_dt_from_json_exits_2(tmp_path, capsys):
     # Python's json accepts NaN and Infinity literals
     path = tmp_path / "cfg.json"
-    path.write_text('{"family": "expansion_1d", "resolutions": [1, 2], "dt": NaN}')
+    path.write_text('{"family": "expansion_1d", "resolutions": [1, 2, 3], "dt": NaN}')
     assert main(["run", str(path)]) == 2
     assert "'dt'" in capsys.readouterr().err
 
@@ -73,14 +73,14 @@ def test_more_snapshots_than_steps_exit_2_before_the_grid_is_built(
 def test_integer_literal_beyond_the_digit_limit_exits_2(tmp_path, capsys):
     # json raises a plain ValueError here, not a JSONDecodeError
     path = tmp_path / "cfg.json"
-    path.write_text('{"family": "expansion_1d", "resolutions": [1, 2], "dt": %s}' % ("1" * 5000))
+    path.write_text('{"family": "expansion_1d", "resolutions": [1, 2, 3], "dt": %s}' % ("1" * 5000))
     assert main(["run", str(path)]) == 2
     assert "<file>" in capsys.readouterr().err
 
 
 def test_unhashable_family_rejected():
     with pytest.raises(ConfigError) as err:
-        validate_config({"family": ["morse_2d"], "resolutions": [1, 2]})
+        validate_config({"family": ["morse_2d"], "resolutions": [1, 2, 3]})
     assert err.value.field == "family"
 
 
@@ -108,7 +108,7 @@ known_keys = st.sampled_from(
 
 @settings(max_examples=300, deadline=None)
 @given(
-    base=st.sampled_from([BASE, MORSE, {"family": "expansion_1d", "resolutions": [1, 2]}]),
+    base=st.sampled_from([BASE, MORSE, {"family": "expansion_1d", "resolutions": [1, 2, 3]}]),
     changes=st.dictionaries(known_keys, json_values, max_size=4),
     drop=st.lists(st.sampled_from(["family", "resolutions"]), max_size=1),
 )

@@ -6,6 +6,7 @@ from sphwass import (
     Gaussian1D,
     InitialSpec,
     StudyDivergedError,
+    TransportBudgetError,
     WendlandCubic2D,
     density_profile,
     emit_report,
@@ -166,17 +167,34 @@ class TestStudy:
         assert exc_info.value.k == 1
         assert "k=1" in str(exc_info.value)
 
-    def test_two_rung_plan_fails_before_any_rung(self, monkeypatch):
-        # two rungs give one distance and no rate: nothing may be simulated
+    def test_two_rung_plan_fails_before_any_rung(self):
+        # two rungs give one distance and no rate: no such plan can be built
+        with pytest.raises(ParameterError) as err:
+            tiny_plan(resolutions=(1, 2))
+        assert err.value.name == "resolutions"
+
+    def test_top_pair_over_the_w1_budget_fails_before_any_rung(self, monkeypatch):
+        # the 16 x 64 cost matrix of k = 2, 3 exceeds 1000 entries; 4 x 16 does not
         from sphwass import experiments as exp
 
         def refuse(*args):
-            raise AssertionError("a rung ran for a plan without a rate")
+            raise AssertionError("a rung ran for a ladder over the W1 budget")
 
         monkeypatch.setattr(exp, "_single_run", refuse)
-        with pytest.raises(ParameterError) as err:
-            run_convergence_study(tiny_plan(resolutions=(1, 2)))
-        assert err.value.name == "resolutions"
+        plan = tiny_plan(family="rotating_square_2d", resolutions=(1, 2, 3))
+        with pytest.raises(TransportBudgetError, match="16 x 64"):
+            run_convergence_study(plan, budget=1000)
+        with pytest.raises(TransportBudgetError):
+            run_convergence_study(plan, budget=16 * 64 - 1)
+
+    def test_top_pair_at_the_w1_budget_runs(self):
+        plan = tiny_plan(family="rotating_square_2d", resolutions=(1, 2, 3), t_end=0.02)
+        result = run_convergence_study(plan, budget=16 * 64)
+        assert np.all(np.isfinite(result.sup_distances))
+
+    def test_1d_ladder_takes_no_budget(self):
+        result = run_convergence_study(tiny_plan(), budget=1)
+        assert np.all(result.sup_distances > 0)
 
     def test_iid_mode_runs(self):
         result = run_convergence_study(tiny_plan(init_mode="iid", seed=3))

@@ -10,14 +10,16 @@ from sphwass import (
     Gaussian1D,
     MorseInteraction,
     ParticleState,
-    SupportDiagnostic,
+    QuadraticPotential,
     WendlandCubic2D,
     angular_momentum,
     check_support,
     compute_accelerations,
     compute_density,
+    equipartition,
     momentum,
-    support_bound,
+    preset,
+    support_radii,
 )
 
 from conftest import normalized
@@ -140,7 +142,6 @@ class TestAccelerations:
         state = random_state_factory(20, 2)
         kernel = WendlandCubic2D(0.9)
         morse = MorseInteraction()
-        from sphwass import QuadraticPotential
         from sphwass.forces import f_theta
 
         fm = ForceModel(
@@ -707,33 +708,59 @@ class TestTranslationInvariance:
             assert np.abs(acc_s - acc).max() <= 1e-13 * np.abs(acc).max()
 
 
-class TestSupportDiagnostic:
+class TestSupportRadii:
     def test_bound_at_time_zero(self):
-        diag = SupportDiagnostic(r0=1.5, v0_sup=0.3, m1=2.0)
-        assert support_bound(diag, 0.0) == 1.5
+        state = ParticleState([0.5, 0.5], [[0.9, 1.2], [0.0, 0.3]], [[0.3, 0.0], [0.0, 0.1]])
+        radii = support_radii(state, hydro_model(2.0, 1), WendlandCubic2D(1.0), [0.0])
+        assert radii == [1.5]
 
     def test_gamma2_gaussian_constants(self):
-        # M2 = sup F1 = k_eos; M1 = 2 * M2 * sup|W'| = 2 * 0.48394
+        # M2 = sup F1 = k_eos; M1 = 2 * M2 * sup|W'| = 2 * 0.48394; with v0 = 0
+        # and no other forces, r(1) = r0 + 0.5 * M1
         state = ParticleState([0.5, 0.5], [[0.2], [0.8]], np.zeros((2, 1)))
-        kernel = Gaussian1D(1.0)
-        diag = SupportDiagnostic.for_theta1(state, hydro_model(2.0, 1), kernel)
-        assert diag.m2 == pytest.approx(1.0)
-        assert diag.m1 == pytest.approx(2.0 * 0.48394, abs=1e-4)
-        assert diag.m1 == pytest.approx(0.96788, abs=1e-4)
-        # with v0 = 0 and no other forces, r(1) = r0 + 0.5 * M1
-        assert support_bound(diag, 1.0) == pytest.approx(diag.r0 + 0.48394, abs=1e-4)
+        r0, r1 = support_radii(state, hydro_model(2.0, 1), Gaussian1D(1.0), [0.0, 1.0])
+        assert r0 == 0.8
+        assert r1 == pytest.approx(r0 + 0.48394, abs=1e-4)
 
-    def test_nondecreasing_in_time(self):
-        diag = SupportDiagnostic(r0=1.0, v0_sup=0.1, m1=0.5, grad_v_sup=0.2, k_sup=0.3)
-        ts = np.linspace(0, 10, 50)
-        bounds = [support_bound(diag, t) for t in ts]
-        assert np.all(np.diff(bounds) >= 0)
+    def test_nondecreasing_in_time(self, random_state_factory):
+        state = random_state_factory(16, 2)
+        fm = ForceModel(theta=1, eos=EosPolytropic(gamma=7.0), interaction=MorseInteraction())
+        radii = support_radii(state, fm, WendlandCubic2D(0.5), np.linspace(0, 10, 50))
+        assert np.all(np.diff(radii) > 0)
 
-    def test_gamma_below_two_disables_with_warning(self):
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_morse_with_drag_radii_match_the_closed_form(self, n):
+        state = equipartition(preset("morse_cloud_2d", n))
+        morse = MorseInteraction(c_a=2.0, c_r=1.5, l_a=1.0, l_r=2.0, r_cut=0.1)
+        fm = ForceModel(theta=1, eta=10.0, interaction=morse)
+        times = np.linspace(0.0, 1.0, 11)
+        r0 = float(np.linalg.norm(state.positions, axis=1).max())
+        v0 = float(np.linalg.norm(state.velocities, axis=1).max())  # released at rest
+        expected = [r0 + t * v0 + 0.5 * t * t * morse.sup_norm() for t in times]
+        radii = support_radii(state, fm, WendlandCubic2D(1.0), times)
+        assert np.array(radii).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("gamma", [2.0, 7.0])
+    def test_theta1_radii_match_the_closed_form(self, gamma):
+        state = equipartition(preset("rotating_square_2d", 64))
+        kernel, kappa = WendlandCubic2D(0.7), 1.3
+        times = np.linspace(0.0, 0.5, 6)
+        r0 = float(np.linalg.norm(state.positions, axis=1).max())
+        v0 = float(np.linalg.norm(state.velocities, axis=1).max())
+        m1 = 2.0 * (kappa * kernel.peak_value() ** (gamma - 2.0)) * kernel.grad_sup_norm()
+        expected = [r0 + t * v0 + 0.5 * t * t * m1 for t in times]
+        radii = support_radii(state, hydro_model(gamma, 1, kappa), kernel, times)
+        assert v0 > 0
+        assert np.array(radii).tobytes() == np.array(expected).tobytes()
+
+    def test_none_without_constants(self):
+        # theta = 0, gamma < 2 (F1 unbounded near rho = 0) and a potential
         state = ParticleState([1.0], [[0.0]], [[0.0]])
-        with pytest.warns(RuntimeWarning):
-            diag = SupportDiagnostic.for_theta1(state, hydro_model(1.0, 1), Gaussian1D(1.0))
-        assert diag is None
+        kernel, times = Gaussian1D(1.0), [0.0, 1.0]
+        assert support_radii(state, hydro_model(2.0, 0), kernel, times) is None
+        assert support_radii(state, hydro_model(1.0, 1), kernel, times) is None
+        fm = ForceModel(theta=1, eos=EosPolytropic(gamma=2.0), v_ext=QuadraticPotential(k=0.5))
+        assert support_radii(state, fm, kernel, times) is None
 
     def test_check_support(self):
         state = ParticleState([1.0], [[3.0, 4.0]], [[0.0, 0.0]])
