@@ -20,9 +20,7 @@ from .forces import (
     f_theta,
 )
 from .initial import (
-    Box,
     InitialSpec,
-    PiecewiseConstantDensity1D,
     equipartition,
     preset,
     rotation_velocity,
@@ -47,6 +45,7 @@ from .sph import (
 )
 from .transport import (
     DiscreteMeasure,
+    PiecewiseConstantDensity1D,
     RateTable,
     TransportBudgetError,
     TransportPlan,

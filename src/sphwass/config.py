@@ -129,7 +129,7 @@ def validate_config(raw):
     if not isinstance(init, dict) or init.get("mode") not in ("equipartition", "iid"):
         raise ConfigError("init", "must be {'mode': 'equipartition'|'iid', ...}")
     if init["mode"] == "iid":
-        if set(init) != {"mode", "seed"} or not isinstance(init.get("seed"), int):
+        if set(init) != {"mode", "seed"} or not _is_int(init.get("seed")):
             raise ConfigError("init.seed", "iid mode requires an integer seed")
     elif set(init) != {"mode"}:
         raise ConfigError("init", "equipartition mode takes only {'mode'}")
@@ -153,15 +153,13 @@ def validate_config(raw):
 
     if not isinstance(cfg["output_dir"], str) or not cfg["output_dir"]:
         raise ConfigError("output_dir", "must be a nonempty string")
-    if not isinstance(cfg["workers"], int) or cfg["workers"] < 1:
+    if not _is_int(cfg["workers"]) or cfg["workers"] < 1:
         raise ConfigError("workers", "must be an integer >= 1")
-    if not isinstance(cfg["seed"], int):
+    if not _is_int(cfg["seed"]):
         raise ConfigError("seed", "must be an integer")
-    if cfg["verbosity"] not in (0, 1, 2):
+    if not _is_int(cfg["verbosity"]) or cfg["verbosity"] not in (0, 1, 2):
         raise ConfigError("verbosity", "must be 0, 1, or 2")
-    if cfg["lp_budget"] is not None and (
-        not isinstance(cfg["lp_budget"], int) or cfg["lp_budget"] < 1
-    ):
+    if cfg["lp_budget"] is not None and (not _is_int(cfg["lp_budget"]) or cfg["lp_budget"] < 1):
         raise ConfigError("lp_budget", "must be a positive integer")
     if not isinstance(cfg["meta"], dict):
         raise ConfigError("meta", "must be an object")

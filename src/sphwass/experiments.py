@@ -82,8 +82,7 @@ class ExperimentPlan:
     ``resolutions`` is the ladder of exponents k; the particle count is
     2**k in one dimension and 4**k in two.  ``h_mode`` is ``'fixed'``
     (h = h_value for every resolution) or ``'scaled'``
-    (h = h_value * V0**(1/d)).  Runs with gamma < 2 are permitted but
-    flagged as outside the assumptions backing the a-priori bounds.
+    (h = h_value * V0**(1/d)).
     """
 
     family: str
@@ -151,10 +150,6 @@ class ExperimentPlan:
             return ForceModel(theta=self.theta, eos=eos, eta=self.eta)
         morse = self.morse if self.morse is not None else MorseInteraction()
         return ForceModel(theta=self.theta, eos=None, eta=self.eta, interaction=morse)
-
-    def outside_assumption_coverage(self):
-        """True for pressure runs with gamma < 2 (bounds unavailable)."""
-        return FAMILIES[self.family]["pressure"] and self.gamma < 2.0
 
 
 @dataclass

@@ -18,7 +18,8 @@ paths of :func:`w1_lp`.
   whose flows are then re-solved on the optimal support forest so that
   plan marginals hold to machine precision;
 * :func:`w1_1d_vs_density` -- exact semi-discrete distance in 1D against
-  a piecewise-constant density, by closed-form CDF integration.
+  a piecewise-constant density (:class:`PiecewiseConstantDensity1D`), by
+  closed-form CDF integration.
 
 :func:`write_csv` is the one CSV row writer of the package.
 
@@ -33,14 +34,13 @@ Jonker-Volgenant solver from its own file.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .initial import PiecewiseConstantDensity1D
-
 __all__ = [
     "DiscreteMeasure",
+    "PiecewiseConstantDensity1D",
     "TransportPlan",
     "RateTable",
     "TransportBudgetError",
@@ -433,6 +433,42 @@ def dual_certificate(mu, nu, plan):
         return np.inf, feas_violation
     dual_obj = float(mu.weights @ u + nu.weights @ v)
     return plan.cost - dual_obj, feas_violation
+
+
+@dataclass(frozen=True)
+class PiecewiseConstantDensity1D:
+    """Normalized piecewise-constant density: ``values[i]`` on the cell
+    ``[breakpoints[i], breakpoints[i+1]]``, zero outside."""
+
+    breakpoints: tuple
+    values: tuple
+    _cum: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        bp = np.asarray(self.breakpoints, dtype=float)
+        vals = np.asarray(self.values, dtype=float)
+        if bp.ndim != 1 or vals.ndim != 1 or len(bp) != len(vals) + 1:
+            raise ValueError("need m+1 breakpoints for m density values")
+        if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(vals))):
+            raise ValueError("breakpoints and density values must be finite")
+        if np.any(np.diff(bp) <= 0):
+            raise ValueError("breakpoints must be strictly increasing")
+        if np.any(vals < 0):
+            raise ValueError("density values must be nonnegative")
+        cum = np.concatenate([[0.0], np.cumsum(vals * np.diff(bp))])
+        if abs(cum[-1] - 1.0) > 1e-9:
+            raise ValueError(f"density must integrate to 1, got {cum[-1]!r}")
+        object.__setattr__(self, "breakpoints", tuple(bp.tolist()))
+        object.__setattr__(self, "values", tuple(vals.tolist()))
+        object.__setattr__(self, "_cum", cum)
+
+    def cdf(self, x):
+        """Distribution function: 0 below the first breakpoint, 1 from the last."""
+        bp = np.asarray(self.breakpoints)
+        x = np.clip(np.asarray(x, dtype=float), bp[0], bp[-1])
+        # the cell whose left breakpoint is the last <= x
+        idx = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, len(self.values) - 1)
+        return self._cum[idx] + np.asarray(self.values)[idx] * (x - bp[idx])
 
 
 def w1_1d_vs_density(mu, breakpoints, values):

@@ -74,6 +74,13 @@ class TestRunCommand:
         assert "resolutions" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("gamma, noted", [(1.0, True), (2.0, False)])
+    def test_note_when_the_runs_have_no_support_bound(self, tmp_path, capsys, gamma, noted):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, gamma=gamma)  # theta = 1
+        assert main(["run", str(cfg_path)]) == 0
+        assert ("note: no a-priori support bound" in capsys.readouterr().out) == noted
+
     def test_malformed_json(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")

@@ -78,6 +78,24 @@ def test_integer_literal_beyond_the_digit_limit_exits_2(tmp_path, capsys):
     assert "<file>" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, overrides",
+    [
+        ("workers", {"workers": True}),
+        ("seed", {"seed": True}),
+        ("verbosity", {"verbosity": True}),
+        ("lp_budget", {"lp_budget": True}),
+        ("init.seed", {"init": {"mode": "iid", "seed": True}}),
+    ],
+)
+def test_bool_for_an_integer_exits_2_naming_the_field(tmp_path, capsys, field, overrides):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**BASE, **overrides, "output_dir": str(tmp_path / "out")}))
+    assert main(["run", str(path)]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unhashable_family_rejected():
     with pytest.raises(ConfigError) as err:
         validate_config({"family": ["morse_2d"], "resolutions": [1, 2, 3]})

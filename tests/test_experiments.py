@@ -12,6 +12,7 @@ from sphwass import (
     emit_report,
     equipartition,
     run_convergence_study,
+    support_radii,
 )
 from sphwass.params import ParameterError
 
@@ -99,11 +100,15 @@ class TestPlanValidation:
         assert plan2d.particles_at(3) == 64
 
     def test_coverage_flag(self):
-        assert tiny_plan(gamma=1.0).outside_assumption_coverage()
-        assert not tiny_plan(gamma=2.0).outside_assumption_coverage()
-        assert not tiny_plan(
-            family="morse_2d", eta=10.0
-        ).outside_assumption_coverage()
+        # the support bound's constants exist for gamma >= 2 and for the swarm
+        def radii(plan):
+            state0 = equipartition(InitialSpec(n=plan.particles_at(1), dim=plan.dim))
+            kernel = plan.kernel(plan.h_value)
+            return support_radii(state0, plan.force_model(), kernel, plan.snapshot_times())
+
+        assert radii(tiny_plan(gamma=1.0)) is None
+        assert radii(tiny_plan(gamma=2.0)) is not None
+        assert radii(tiny_plan(family="morse_2d", eta=10.0)) is not None
 
 
 class TestStudy:
@@ -202,10 +207,9 @@ class TestStudy:
 
     def test_gamma1_permitted_outside_coverage(self):
         # the limit case runs fine (density never vanishes: self-term floor)
-        plan = tiny_plan(gamma=1.0)
-        assert plan.outside_assumption_coverage()
-        result = run_convergence_study(plan)
+        result = run_convergence_study(tiny_plan(gamma=1.0))
         assert np.all(np.isfinite(result.sup_distances))
+        assert all(rec.support_radii is None for rec in result.runs)
         assert all(rec.support_ok is None for rec in result.runs)
 
 

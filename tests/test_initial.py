@@ -42,15 +42,6 @@ class TestEquipartition:
         state = equipartition(InitialSpec(n=16, dim=2))
         assert abs(state.masses.sum() - 1.0) <= 1e-12
 
-    def test_cell_masses_equal_cell_integrals(self):
-        # pushforward property: every point carries exactly its cell's measure
-        dens = PiecewiseConstantDensity1D((0.0, 0.5, 1.0), (1.5, 0.5))
-        spec = InitialSpec(n=4, density_axes=(dens,))
-        state = equipartition(spec)
-        # cells [0,.25),[.25,.5),[.5,.75),[.75,1): integrals .375,.375,.125,.125
-        np.testing.assert_allclose(state.masses, [0.375, 0.375, 0.125, 0.125])
-        np.testing.assert_allclose(state.positions[:, 0], [0.125, 0.375, 0.625, 0.875])
-
     def test_distance_to_uniform_is_quarter_over_n(self):
         # acceptance identity plus the coarser 1/(2n) a-priori bound
         for k in range(1, 11):
@@ -61,14 +52,47 @@ class TestEquipartition:
             assert abs(dist - 1.0 / (4 * n)) <= 1e-12
             assert dist <= 1.0 / (2 * n)
 
-    def test_2d_nonuniform_masses_renormalized(self):
-        dens = PiecewiseConstantDensity1D((0.0, 0.5, 1.0), (1.5, 0.5))
-        unif = PiecewiseConstantDensity1D.uniform()
-        state = equipartition(InitialSpec(n=4, dim=2, density_axes=(dens, unif)))
-        assert abs(state.masses.sum() - 1.0) <= 1e-12
-        # left column carries 0.75 of the mass
-        left = state.positions[:, 0] < 0.5
-        assert state.masses[left].sum() == pytest.approx(0.75, abs=1e-12)
+
+# 1D n = 2^k and 243, 2D n = 4^k, the 2D ones with and without the rotation field
+PIN_CASES = (
+    [(2**k, 1, None) for k in range(1, 15)]
+    + [(243, 1, None)]
+    + [(4**k, 2, field) for k in range(1, 8) for field in (None, rotation_velocity)]
+)
+
+
+def assert_same_bits(state, masses, positions, field):
+    velocities = np.zeros_like(positions) if field is None else rotation_velocity(positions)
+    for got, want in zip(
+        (state.masses, state.positions, state.velocities), (masses, positions, velocities)
+    ):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+class TestBits:
+    """Each state equals the formula for the uniform law on the unit cube, bit for bit."""
+
+    @pytest.mark.parametrize("n, dim, field", PIN_CASES)
+    def test_equipartition(self, n, dim, field):
+        side = round(n ** (1 / dim))
+        centers = np.arange(1, side + 1) / side - 0.5 / side
+        if dim == 1:
+            positions = centers[:, None]
+            masses = np.diff(np.arange(side + 1) / side)
+        else:
+            # the first coordinate varies slowest
+            positions = np.column_stack([np.repeat(centers, side), np.tile(centers, side)])
+            masses = np.full(n, 1.0 / n)
+            masses = masses / masses.sum()
+        state = equipartition(InitialSpec(n=n, dim=dim, velocity_field=field))
+        assert_same_bits(state, masses, positions, field)
+
+    @pytest.mark.parametrize("n, dim, field", PIN_CASES)
+    def test_sample_iid(self, n, dim, field):
+        positions = np.random.default_rng(n + 5).random((n, dim))
+        state = sample_iid(InitialSpec(n=n, dim=dim, velocity_field=field), seed=n + 5)
+        assert_same_bits(state, np.full(n, 1.0 / n), positions, field)
 
 
 class TestSampleIid:
@@ -97,11 +121,12 @@ class TestSampleIid:
 
         assert median_dist(1024) < median_dist(64)
 
-    def test_nonuniform_inverse_cdf_sampling(self):
-        dens = PiecewiseConstantDensity1D((0.0, 0.5, 1.0), (1.5, 0.5))
-        state = sample_iid(InitialSpec(n=20000, density_axes=(dens,)), seed=11)
-        frac_left = (state.positions[:, 0] < 0.5).mean()
-        assert frac_left == pytest.approx(0.75, abs=0.02)
+
+class TestSpec:
+    @pytest.mark.parametrize("n, dim", [(4, 0), (4, -1), (0, 1)])
+    def test_rejects_empty_counts_and_dimensions(self, n, dim):
+        with pytest.raises(ValueError):
+            InitialSpec(n=n, dim=dim)
 
 
 class TestSelectH:
@@ -172,13 +197,4 @@ class TestDensity1D:
     def test_cdf_matches_integrate(self):
         dens = PiecewiseConstantDensity1D((0.0, 0.5, 1.0), (1.5, 0.5))
         xs = np.array([-1.0, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0])
-        np.testing.assert_array_equal(dens.cdf(xs), [dens.integrate(-5.0, x) for x in xs])
         np.testing.assert_allclose(dens.cdf(xs), [0.0, 0.0, 0.375, 0.75, 0.875, 1.0, 1.0])
-
-    def test_integrate_and_inverse_cdf(self):
-        dens = PiecewiseConstantDensity1D((0.0, 0.5, 1.0), (1.5, 0.5))
-        assert dens.integrate(0.0, 0.5) == pytest.approx(0.75)
-        assert dens.integrate(0.25, 0.75) == pytest.approx(0.375 + 0.125)
-        assert dens.inverse_cdf(0.75) == pytest.approx(0.5)
-        assert dens.inverse_cdf(0.0) == pytest.approx(0.0)
-        assert dens.inverse_cdf(1.0) == pytest.approx(1.0)
