@@ -18,7 +18,9 @@ constructed initial state, evaluates the Wasserstein-1 distance between
 consecutive runs on a shared snapshot grid, takes the max over the grid,
 and converts consecutive maxima into convergence rates.
 
-Only a study with ``workers > 1`` imports ``concurrent.futures``.
+A single-worker Morse study integrates its rungs as one batch, in lockstep;
+otherwise each rung is a batch of its own, run by the same routine, so the
+bits agree.  Only a study with ``workers > 1`` imports ``concurrent.futures``.
 """
 
 import json
@@ -73,6 +75,9 @@ class StudyDivergedError(RuntimeError):
             f"simulation diverged in family {family!r} at resolution k={k} "
             f"(step {step_index})"
         )
+
+    def __reduce__(self):  # rebuilt from its fields when a worker process raises it
+        return type(self), (self.family, self.k, self.step_index)
 
 
 @dataclass(frozen=True)
@@ -176,37 +181,30 @@ class StudyResult:
     rate_table: object
 
 
-def _single_run(plan, k):
-    fam = FAMILIES[plan.family]
-    n = plan.particles_at(k)
-    spec = preset(fam["preset"], n)
+def _run_rungs(plan, ks):
+    """The runs of the plan's rungs ks, integrated as one batch, or the
+    :class:`StudyDivergedError` that ended it."""
+    fam, fm = FAMILIES[plan.family], plan.force_model()
+    specs = [preset(fam["preset"], plan.particles_at(k)) for k in ks]
     if plan.init_mode == "equipartition":
-        state0 = equipartition(spec)
+        states0 = [equipartition(spec) for spec in specs]
     else:
-        state0 = sample_iid(spec, seed=plan.seed + k)
-    h = select_h(spec, plan.h_mode, plan.h_value)
-    kernel = plan.kernel(h)
-    fm = plan.force_model()
-    cfg = IntegratorConfig(
-        dt=plan.dt, t_end=plan.t_end, snapshot_times=plan.snapshot_times()
-    )
+        states0 = [sample_iid(spec, seed=plan.seed + k) for spec, k in zip(specs, ks)]
+    hs = [select_h(spec, plan.h_mode, plan.h_value) for spec in specs]
+    kernels = [plan.kernel(h) for h in hs]
+    cfg = IntegratorConfig(dt=plan.dt, t_end=plan.t_end, snapshot_times=plan.snapshot_times())
     try:
-        traj = run(state0, fm, kernel, cfg)
+        trajs = run(states0, fm, kernels, cfg)
     except SimulationDivergedError as err:
-        raise StudyDivergedError(plan.family, k, err.step_index) from err
+        return StudyDivergedError(plan.family, ks[err.run_index], err.step_index)
 
-    radii = support_radii(state0, fm, kernel, traj.times)
-    support_ok = None if radii is None else list(map(check_support, traj.states, radii))
-    vmax = float(np.linalg.norm(traj.states[-1].velocities, axis=1).max())
-    return RunRecord(
-        k=k,
-        n=n,
-        h=h,
-        trajectory=traj,
-        support_ok=support_ok,
-        support_radii=radii,
-        final_max_speed=vmax,
-    )
+    runs = []
+    for k, state0, h, kernel, traj in zip(ks, states0, hs, kernels, trajs):
+        radii = support_radii(state0, fm, kernel, traj.times)
+        support_ok = None if radii is None else list(map(check_support, traj.states, radii))
+        vmax = float(np.linalg.norm(traj.states[-1].velocities, axis=1).max())
+        runs.append(RunRecord(k, state0.n, h, traj, support_ok, radii, vmax))
+    return runs
 
 
 def run_convergence_study(plan, workers=1, budget=None):
@@ -215,20 +213,30 @@ def run_convergence_study(plan, workers=1, budget=None):
     In two dimensions, a W1 cost matrix of the ladder's top pair beyond
     ``budget`` (None: the transport default) raises a
     :class:`~sphwass.transport.TransportBudgetError` before the first rung.
-    Resolutions are independent; ``workers > 1`` runs them in separate
-    processes.  Any diverging simulation aborts the study with a
-    :class:`StudyDivergedError` naming the family and resolution.
+    Resolutions are independent.  With one worker, a ladder whose force model
+    has an interaction integrates as one batch, whose rungs share the radial pass;
+    a pressure study shares no more than its kicks, and runs rung by rung.
+    ``workers > 1`` runs each rung in a process of its own, in a pool of at most
+    one process per rung.  A diverging simulation aborts the study with a
+    :class:`StudyDivergedError` naming the family and the resolution that
+    diverged at the earliest step (on a tie, the lowest k).
     """
     ks = list(plan.resolutions)
     budget = DEFAULT_PAIR_BUDGET if budget is None else budget
     if plan.dim >= 2:  # the top pair is the largest; 1D distances take no cost matrix
         _check_budget(plan.particles_at(ks[-2]), plan.particles_at(ks[-1]), budget)
+    shared = workers == 1 and plan.force_model().interaction is not None
+    batches = [ks] if shared else [[k] for k in ks]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_single_run, [plan] * len(ks), ks))
+        with ProcessPoolExecutor(max_workers=min(workers, len(ks))) as pool:
+            outcomes = list(pool.map(_run_rungs, [plan] * len(batches), batches))
     else:
-        runs = [_single_run(plan, k) for k in ks]
+        outcomes = [_run_rungs(plan, batch) for batch in batches]
+    diverged = [err for err in outcomes if isinstance(err, StudyDivergedError)]
+    if diverged:
+        raise min(diverged, key=lambda err: (err.step_index, err.k))
+    runs = [rec for batch in outcomes for rec in batch]
 
     times = np.asarray(runs[0].trajectory.times)
     snaps = [

@@ -22,7 +22,11 @@ pair sum one more, whose n rows take the kernel constants and F(rho_k).  Blocks
 come in a fixed order, so results are bitwise reproducible.  The pressure sum
 reuses the gradient shapes of rho's walk.  Each walk owns the buffers its
 evaluations write, and a run keeps its walks in one :class:`_Engine`, so its steps
-leave no block temporaries to the allocator.  The module holds no state.
+leave no block temporaries to the allocator.  An engine serves a batch of states
+(a study's rungs) advanced together: a pressure walk per state, and one packed
+interaction walk whose blocks stay within a state and lie side by side, so the
+clip, the sqrt and the force scale take one call for all of them.  The module
+holds no state.
 """
 
 from dataclasses import dataclass
@@ -44,6 +48,8 @@ __all__ = [
 _BLOCK = 128  # most targets in one block: a walk's block buffers hold _BLOCK * n doubles
 
 _SLOT_ENTRIES = 2**22  # most gradient shapes one evaluation keeps for its pressure sum: 32 MB
+
+_PASS_ENTRIES = 2**16  # most pairs of a packed walk's radial pass, unless one block holds more
 
 
 @dataclass
@@ -138,38 +144,48 @@ def compute_accelerations(state, rho, fm, kernel, include_drag=True, engine=None
     law to compute it in one walk whose blocks its pressure sum reuses (without
     one, rho is not read).  ``include_drag=False`` leaves -eta v to the integrator.
 
-    ``engine`` is the handle of a run: ``_Engine(state0, fm, kernel)``, built once
-    for states with state0's masses, whose walks and buffers every evaluation
-    reuses.  The result is then the engine's own array, which its next evaluation
-    overwrites.  Without one, the evaluation builds a throwaway engine, so both
-    take the same walks and give the same bits."""
+    ``engine`` is the handle of a run: ``_Engine(states0, fm, kernels)``, built once
+    for a batch of states with the masses of states0, one kernel each, whose walks
+    and buffers every evaluation reuses.  ``state`` then holds the batch's particles
+    one rung after another (and ``rho`` the same way), and the kernel is not read.
+    The result is the engine's own array, which its next evaluation overwrites.
+    Without one, the evaluation builds a throwaway engine, so both take the same
+    walks and give the same bits."""
     if engine is None:
-        engine = _Engine(state, fm, kernel)
+        engine = _Engine([state], fm, [kernel])
     return engine.accelerations(state, rho, include_drag)
 
 
 class _Engine:
-    """The force evaluations of one run: a walk per pair term, built from the
-    masses, the force model and the kernel, and the acceleration they fill."""
+    """The force evaluations of a run over a batch of states: a walk per pair term and
+    state, built from the masses, the force model and the state's kernel, and the
+    acceleration they fill, whose ``rows`` hold each state's particles in turn."""
 
-    def __init__(self, state, fm, kernel):
-        if state.dim != kernel.dim:
-            raise ValueError(f"state dimension {state.dim} != kernel dimension {kernel.dim}")
-        m, d = state.masses, state.dim
-        self.fm, self.kernel = fm, kernel
-        self.acc = np.empty((state.n, d))
+    def __init__(self, states, fm, kernels):
+        for state, kernel in zip(states, kernels):
+            if state.dim != kernel.dim:
+                raise ValueError(f"state dimension {state.dim} != kernel dimension {kernel.dim}")
+        d, ns = states[0].dim, [s.n for s in states]
+        ends = np.cumsum(ns).tolist()
+        self.rows = [slice(e - n, e) for n, e in zip(ns, ends)]
+        self.fm, self.kernels = fm, kernels
+        self.acc = np.empty((ends[-1], d))
         self.pressure = self.interaction = None
         if fm.eos is not None:
             sums = 2 if fm.theta else 1  # c = m(, m F)
-            self.pressure = _Walk(m, d, kernel.h, _band(kernel, state.n), sums * (d + 1))
+            self.pressure = [_Walk(s.masses, d, k.h, _band(k, s.n), sums * (d + 1))
+                             for s, k in zip(states, kernels)]
         if fm.interaction is not None:
-            self.interaction = _Walk(m, d, width=d + 1, work=4)
+            masses = np.concatenate([s.masses for s in states])
+            self.interaction = _Walk(masses, d, width=d + 1, work=4, ends=ends, packed=True)
 
     def accelerations(self, state, rho, include_drag):
         """:func:`compute_accelerations` at the state, in the engine's array."""
         fm, acc, x = self.fm, self.acc, state.positions
         if self.pressure is not None:
-            _pressure_accel(self.pressure, x, rho, fm, self.kernel, acc)
+            for walk, kernel, rows in zip(self.pressure, self.kernels, self.rows):
+                _pressure_accel(walk, x[rows], None if rho is None else rho[rows], fm, kernel,
+                                acc[rows])
         if self.interaction is not None:
             k = _interaction_accel(self.interaction, x, fm.interaction)
             np.add(0.0 if self.pressure is None else acc, k, out=acc)  # 0 + K, -0.0 as 0.0
@@ -205,11 +221,21 @@ def _pressure_accel(walk, x, rho, fm, kernel, acc):
 
 
 def _interaction_accel(walk, x, interaction):
-    """The interaction term at x, on the walk over all pairs relative to x_0."""
+    """The interaction term at x, on the packed walk over all pairs relative to x_0."""
     walk.place(x)
-    blocks = ((r, c, interaction.force_scale(np.sqrt(r2, out=r2), work))
-              for r, c, r2, work in walk.blocks())
-    return _pair_sums(blocks, walk)[:, 0]
+    return _pair_sums(_radial_passes(walk, interaction), walk)[:, 0]
+
+
+def _radial_passes(walk, interaction):
+    """``(rows, cols, c)`` of each block of the packed walk, c = force_scale(r): every
+    r2 product of a pass, then the pass's radial work, one call per ufunc."""
+    blocks = walk.blocks()
+    for count, r, work in walk.passes:
+        products = [next(blocks) for _ in range(count)]
+        np.sqrt(np.maximum(r, 0.0, out=r), out=r)  # clip the cancellation noise
+        interaction.force_scale(r, work)
+        for rows, cols, _, c in products:
+            yield rows, cols, c[0]
 
 
 def _pair_sums(blocks, walk, F=None):
@@ -257,9 +283,13 @@ class _Walk:
     placement, and a block meets the sources within the cutoff along x_0 of its
     targets; without one, all sources.  The targets are the sources themselves,
     met from each block's first target on (see :func:`_sum_pairs`), unless the
-    walk is built for ``n_targets`` other points."""
+    walk is built for ``n_targets`` other points.  Unsorted sources against
+    themselves may come in independent sets, rows up to each of ``ends``, each
+    relative to its first source and met by its own blocks only.  A ``packed``
+    walk lays its blocks side by side, in passes of up to ``_PASS_ENTRIES``."""
 
-    def __init__(self, masses, dim, unit=1.0, cutoff=None, width=0, work=1, n_targets=None):
+    def __init__(self, masses, dim, unit=1.0, cutoff=None, width=0, work=1, n_targets=None,
+                 ends=None, packed=False):
         n = masses.shape[0]
         self.same = n_targets is None
         nt = n if self.same else n_targets
@@ -278,9 +308,19 @@ class _Walk:
         self.a_sq, self.a_y = self.a[:, 0], self.a[:, 2:]
         self.rho = np.empty(nt)
         self.tail = np.empty(n * max(width, 1))
-        block = min(nt, _BLOCK) * n
-        arena = np.empty((1 + work) * block)
-        self.r2, self.work = arena[:block], arena[block:].reshape(work, block)
+        ends = [nt] if ends is None else ends
+        firsts = [0] + ends[:-1]  # each set's sources are relative to its first one
+        self.origin = slice(0, 1) if len(ends) == 1 else np.repeat(firsts, np.diff([0] + ends))
+        self.starts = np.concatenate([np.arange(first, end, _BLOCK)[::-1]  # a row's tail sums
+                                      for first, end in zip(firsts, ends)])  # come after its own
+        tops = np.asarray(ends)[np.searchsorted(ends, self.starts, "right")]  # each block's set
+        self.lasts = np.minimum(self.starts + _BLOCK, tops) - 1
+        self.packed, block = packed, min(nt, _BLOCK) * n
+        if packed:
+            sizes = (self.lasts + 1 - self.starts) * (tops - self.starts)
+            block = max(min(int(sizes.sum()), _PASS_ENTRIES), int(sizes.max(initial=0)))
+        buf = np.empty((1 + work) * block)
+        self.r2, self.work = buf[:block], buf[block:].reshape(work, block)
         self.kept = np.empty(0)  # the g of a pressure sum, grown to the blocks' size
         self.src = np.empty((n, width))
         self.out = np.empty((nt, width))
@@ -292,15 +332,14 @@ class _Walk:
             self.sums = np.empty((n, width // d1, dim))
             out = self.out.reshape(n, -1, d1)
             self.fold = (self.xs[:, None], out[:, :, :1], out[:, :, 1:])
-        self.starts = np.arange(0, nt, _BLOCK)[::-1]  # a row's tail sums come after its own
-        self.lasts = np.minimum(self.starts + _BLOCK, nt) - 1
         if not sort:
-            self._set_bounds(self.starts if self.same else 0 * self.starts, [n] * len(self.starts))
+            self._set_bounds(self.starts if self.same else 0 * self.starts,
+                             tops if self.same else [n] * len(self.starts))
 
     def place(self, x, y=None):
         """Put the sources at x, and the targets at y if the walk has other targets:
         their walk coordinates and sort, the factors and the blocks' bounds."""
-        x_rel = np.subtract(x, x[:1], out=self.x_rel)
+        x_rel = np.subtract(x, x[self.origin], out=self.x_rel)
         if self.unit != 1.0:
             x_rel /= self.unit
         if y is not None:
@@ -329,24 +368,35 @@ class _Walk:
             self._set_bounds(los, his)
 
     def _set_bounds(self, los, his):
-        """Each block's slices, factors and buffers, from its first and last source."""
-        n, self.bounds, self.entries = self.b.shape[1], [], 0
+        """Each block's slices, factors and buffers, from its first and last source: at
+        the front of the buffers, or if packed after the last block of its pass.  A
+        packed walk's ``passes`` are (blocks, r2, scratch), over each pass's entries."""
+        n, self.bounds, self.entries, passes, used = self.b.shape[1], [], 0, [], self.r2.size
         for s, e, lo, hi in zip(self.starts.tolist(), self.lasts.tolist(),
                                 np.asarray(los).tolist(), np.asarray(his).tolist()):
             k, c = e + 1 - s, hi - lo
-            rows, cols = slice(s, e + 1), slice(lo, hi)
+            if not self.packed or used + k * c > self.r2.size:
+                used = 0
+                passes.append([0, 0])
+            passes[-1] = [passes[-1][0] + 1, used + k * c]
+            rows, cols, at = slice(s, e + 1), slice(lo, hi), slice(used, used + k * c)
             self.bounds.append((rows, cols, self.a[rows], self.b if c == n else self.b[:, cols],
-                                self.r2[:k * c].reshape(k, c),
-                                tuple(self.work[:, :k * c].reshape(len(self.work), k, c))))
+                                self.r2[at].reshape(k, c),
+                                tuple(self.work[:, at].reshape(len(self.work), k, c))))
             self.entries += k * c
+            used += k * c
+        if self.packed:
+            self.passes = [(count, self.r2[:end], tuple(self.work[:, :end]))
+                           for count, end in passes]
 
     def blocks(self):
         """Yield ``(rows, cols, r2, work)``, last block first: slices of the placed
         targets and sources, r2 = [|y|^2, 1, -2 y] @ [1, |x|^2, x]^T in the walk's
-        block buffer, which rounds with eps times the squared extent, and the
-        block's scratch arrays."""
+        block buffer, which rounds with eps times the squared extent, clipped at 0
+        unless packed (:func:`_radial_passes` clips), and the block's scratch."""
         for rows, cols, a, b, r2, work in self.bounds:
-            yield rows, cols, _sq_dists(a, b, r2), work
+            r2 = _sq_dists(a, b, r2)
+            yield rows, cols, r2 if self.packed else np.maximum(r2, 0.0, out=r2), work
 
 
 def _sum_pairs(out, w, c, rows, cols, tail=None):
@@ -371,8 +421,7 @@ def _unsorted(a, order):
 
 def _sq_dists(a, b, out):
     """A block's squared distances from the factors of :class:`_Walk`, into ``out``."""
-    r2 = np.matmul(a, b, out=out)
-    return np.maximum(r2, 0.0, out=r2)  # clip the cancellation noise
+    return np.matmul(a, b, out=out)
 
 
 def _band(kernel, n):

@@ -185,7 +185,7 @@ class TestStudy:
         def refuse(*args):
             raise AssertionError("a rung ran for a ladder over the W1 budget")
 
-        monkeypatch.setattr(exp, "_single_run", refuse)
+        monkeypatch.setattr(exp, "_run_rungs", refuse)
         plan = tiny_plan(family="rotating_square_2d", resolutions=(1, 2, 3))
         with pytest.raises(TransportBudgetError, match="16 x 64"):
             run_convergence_study(plan, budget=1000)
@@ -211,6 +211,116 @@ class TestStudy:
         assert np.all(np.isfinite(result.sup_distances))
         assert all(rec.support_radii is None for rec in result.runs)
         assert all(rec.support_ok is None for rec in result.runs)
+
+
+class TestWorkers:
+    """One batch for a single-worker Morse study, a rung per process otherwise."""
+
+    @staticmethod
+    def recording_pool(monkeypatch):
+        # a stand-in pool that records its size and runs the rungs in this process,
+        # starting no process at all
+        import concurrent.futures
+
+        sizes = []
+
+        class Recording:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        return sizes
+
+    def test_pool_is_capped_at_the_rung_count(self, monkeypatch):
+        sizes = self.recording_pool(monkeypatch)
+        serial = run_convergence_study(tiny_plan())
+        for workers in (2, 3, 100000):
+            result = run_convergence_study(tiny_plan(), workers=workers)
+            np.testing.assert_array_equal(result.sup_distances, serial.sup_distances)
+        assert sizes == [2, 3, 3]
+
+    def test_one_worker_batches_a_morse_ladder_only(self, monkeypatch):
+        from sphwass import experiments as exp
+
+        batches, run = [], exp.run
+
+        def recorded(states0, fm, kernels, cfg):
+            batches.append([s.n for s in states0])
+            return run(states0, fm, kernels, cfg)
+
+        monkeypatch.setattr(exp, "run", recorded)
+        run_convergence_study(tiny_plan(family="morse_2d", eta=10.0))
+        run_convergence_study(tiny_plan())
+        self.recording_pool(monkeypatch)
+        run_convergence_study(tiny_plan(family="morse_2d", eta=10.0), workers=2)
+        assert batches == [[4, 16, 64], [2], [4], [8], [4], [16], [64]]
+
+    def test_reports_of_one_and_two_workers_are_identical(self, tmp_path):
+        # the n = 256 rung walks two blocks, beside three rungs of one block
+        plan = tiny_plan(family="morse_2d", resolutions=(1, 2, 3, 4), eta=10.0, dt=1e-2,
+                         t_end=0.05, n_snapshots=3)
+        for workers in (1, 2):
+            emit_report(run_convergence_study(plan, workers=workers), tmp_path / str(workers))
+        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+        assert "snapshots_k4.csv" in names
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_earliest_step_names_the_rung(self, workers, monkeypatch):
+        # rung k diverges at step steps[k] (None: it does not); the earliest step
+        # wins, and on a tie the lowest k
+        from sphwass import experiments as exp
+        from sphwass.integrator import SimulationDivergedError
+
+        self.recording_pool(monkeypatch)
+        run = exp.run
+
+        def diverging(steps):
+            def fake(states0, fm, kernels, cfg):
+                ks = [int(np.log2(s.n)) for s in states0]
+                hits = [(steps[k], i) for i, k in enumerate(ks) if steps[k] is not None]
+                if hits:
+                    step, index = min(hits)
+                    raise SimulationDivergedError(step, run_index=index)
+                return run(states0, fm, kernels, cfg)
+            return fake
+
+        for steps, k in (({1: 50, 2: 10, 3: None}, 2), ({1: None, 2: 7, 3: 7}, 2),
+                         ({1: 9, 2: None, 3: 3}, 3)):
+            monkeypatch.setattr(exp, "run", diverging(steps))
+            with pytest.raises(StudyDivergedError) as err:
+                run_convergence_study(tiny_plan(), workers=workers)
+            assert (err.value.k, err.value.step_index) == (k, steps[k])
+
+    def test_a_batch_names_the_rung_that_diverged(self, monkeypatch):
+        from sphwass import experiments as exp
+        from sphwass.integrator import SimulationDivergedError
+
+        def explode(*args, **kwargs):
+            raise SimulationDivergedError(41, run_index=2)
+
+        monkeypatch.setattr(exp, "run", explode)
+        with pytest.raises(StudyDivergedError) as err:
+            run_convergence_study(tiny_plan(family="morse_2d", resolutions=(1, 2, 3), eta=10.0))
+        assert (err.value.k, err.value.step_index) == (3, 41)
+
+    def test_divergence_survives_the_trip_from_a_worker(self):
+        import pickle
+
+        err = pickle.loads(pickle.dumps(StudyDivergedError("morse_2d", 3, 41)))
+        assert (err.family, err.k, err.step_index) == ("morse_2d", 3, 41)
+        assert "k=3" in str(err)
 
 
 class TestDensityProfile:

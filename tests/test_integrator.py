@@ -12,6 +12,7 @@ from sphwass import (
     ParticleState,
     QuadraticPotential,
     SimulationDivergedError,
+    Trajectory,
     WendlandCubic2D,
     angular_momentum,
     compute_accelerations,
@@ -385,3 +386,95 @@ class TestEngine:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         run(state0, fm, kernel, cfg)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 64
+
+
+BATCH_CASES = {
+    # Morse at one block, a full block and past _BLOCK: the 300 takes three blocks,
+    # packed side by side with the other states' blocks
+    "morse": ([morse_swarm(4), morse_swarm(64), uneven(morse_swarm(300))], MORSE,
+              [WendlandCubic2D(1.0)] * 3, 1e-2),
+    # one dense block beside a banded walk, with a different h per state
+    "theta0-band": ([square(64), stirred(300)], ForceModel(theta=0, eos=EosPolytropic(7.0)),
+                    [WendlandCubic2D(1.0), WendlandCubic2D(0.05)], 1e-2),
+    "theta1-band": ([square(64), stirred(300)], ForceModel(theta=1, eos=EosPolytropic(2.0)),
+                    [WendlandCubic2D(0.5), WendlandCubic2D(0.05)], 1e-2),
+    "gaussian-1d": ([expansion(8), expansion(40)], ForceModel(theta=1, eos=EosPolytropic(2.0)),
+                    [Gaussian1D(0.3), Gaussian1D(0.1)], 1e-3),
+    "potential-drag": ([square(16), square(64)],
+                       ForceModel(theta=1, eos=EosPolytropic(7.0), v_ext=QuadraticPotential(),
+                                  eta=2.0),
+                       [WendlandCubic2D(0.5), WendlandCubic2D(0.3)], 1e-3),
+}
+
+
+class TestBatch:
+    """A batch of states run in lockstep against each state run alone."""
+
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    def test_batch_gives_the_bits_of_its_states_run_alone(self, case, order):
+        states0, fm, kernels, dt = BATCH_CASES[case]
+        if order == "reversed":
+            states0, kernels = states0[::-1], kernels[::-1]
+        cfg = IntegratorConfig(dt=dt, t_end=6 * dt, snapshot_times=(0.0, 3 * dt, 6 * dt))
+        batch = run(states0, fm, kernels, cfg)
+        assert len(batch) == len(states0)
+        for state0, kernel, traj in zip(states0, kernels, batch):
+            alone = run(state0, fm, kernel, cfg)
+            assert traj.times == alone.times and len(traj) == 3
+            for snap, ref in zip(traj.states, alone.states):
+                assert snap.masses.tobytes() == ref.masses.tobytes()
+                assert snap.positions.tobytes() == ref.positions.tobytes()
+                assert snap.velocities.tobytes() == ref.velocities.tobytes()
+
+    def test_single_state_returns_one_trajectory(self):
+        state0, fm, kernel, dt = ENGINE_CASES["morse-4"]
+        cfg = IntegratorConfig(dt=dt, t_end=dt)
+        assert isinstance(run(state0, fm, kernel, cfg), Trajectory)
+        (traj,) = run([state0], fm, [kernel], cfg)
+        assert isinstance(traj, Trajectory)
+
+    def test_rejects_mixed_dimensions_start_times_and_kernel_counts(self):
+        cfg = IntegratorConfig(dt=0.1, t_end=0.1)
+        flat, plane = single_particle(0.0, 0.0), single_particle([0.0, 0.0], [0.0, 0.0])
+        late = ParticleState(flat.masses, flat.positions, flat.velocities, time=1.0)
+        for states, kernels in (([flat, plane], [KERNEL_1D, WendlandCubic2D(1.0)]),
+                                ([flat, late], [KERNEL_1D] * 2), ([flat, flat], [KERNEL_1D])):
+            with pytest.raises(ValueError):
+                run(states, FREE, kernels, cfg)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_divergence_names_the_state_that_diverged(self, order):
+        # at rest at the center of the trap, a particle stays there; off center, dt = 100
+        # overflows it at the step where it overflows when run alone
+        fm = ForceModel(theta=1, v_ext=QuadraticPotential())
+        cfg = IntegratorConfig(dt=100.0, t_end=100000.0)
+        pair = [single_particle(0.0, 0.0), single_particle(1.0, 0.0)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationDivergedError) as alone:
+                run(pair[1], fm, KERNEL_1D, cfg)
+            with pytest.raises(SimulationDivergedError) as batch:
+                run([pair[i] for i in order], fm, [KERNEL_1D] * 2, cfg)
+        assert alone.value.run_index == 0
+        assert batch.value.step_index == alone.value.step_index
+        assert batch.value.run_index == order.index(1)
+
+    def test_divergence_in_one_step_names_the_first_state(self):
+        # both states diverge in step 1: the second in the drift, where v dt overflows,
+        # and the first later, in the step's last half-kick; the first is named
+        class TurnsBad:
+            calls = 0
+
+            def gradient(self, y):
+                self.calls += 1
+                g = np.zeros_like(y)
+                if self.calls == 2:  # the evaluation at the end of step 1
+                    g[0] = np.inf
+                return g
+
+        fm = ForceModel(theta=1, v_ext=TurnsBad())
+        cfg = IntegratorConfig(dt=4.0, t_end=40.0)
+        states = [single_particle(0.0, 0.0), single_particle(0.0, 1e308)]
+        with np.errstate(over="ignore"), pytest.raises(SimulationDivergedError) as err:
+            run(states, fm, [KERNEL_1D] * 2, cfg)
+        assert (err.value.step_index, err.value.run_index) == (1, 0)

@@ -533,10 +533,13 @@ def force_direct_sq_dists(monkeypatch):
     # the product r2 = |y|^2 + |x|^2 - 2 y.x rounds with the BLAS kernel that
     # the block's shape selects, by up to about eps (extent/h)^2 in walk
     # coordinates: beyond 1e-13 in rho for extent/h near 800.  Direct
-    # differences of the factors' coordinates round the same in any block.
-    monkeypatch.setattr(
-        sph, "_sq_dists", lambda a, b, out: direct_sq_dists(-0.5 * a[:, 2:], b[2:].T)
-    )
+    # differences of the factors' coordinates round the same in any block.  They go
+    # into the block's buffer, which the Morse sum's arena pass reads.
+    def direct(a, b, out):
+        out[...] = direct_sq_dists(-0.5 * a[:, 2:], b[2:].T)
+        return out
+
+    monkeypatch.setattr(sph, "_sq_dists", direct)
 
 
 def assert_band_matches_all_pairs(state, kernel, fm, monkeypatch):
