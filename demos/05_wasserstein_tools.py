@@ -6,8 +6,9 @@ assignment problem when both clouds have uniform weights and one count
 divides the other by at most 16, otherwise the transportation LP with
 plan marginals re-solved to machine precision on the optimal support
 forest; the 40 and 60 point clouds below take the LP), and a closed-form
-semi-discrete distance against a piecewise-constant density.  A shortest-path dual certificate
-bounds the suboptimality of any plan without trusting the solver.
+semi-discrete distance to the uniform law on [0, 1], the law every initial
+state approximates.  A shortest-path dual certificate bounds the
+suboptimality of any plan without trusting the solver.
 
 Run:  python demos/05_wasserstein_tools.py
 """
@@ -21,7 +22,7 @@ from sphwass import (
     equipartition,
     sample_iid,
     w1_1d_discrete,
-    w1_1d_vs_density,
+    w1_1d_vs_uniform,
     w1_lp,
 )
 
@@ -60,7 +61,7 @@ print("\n1D cross-check: |LP - CDF| = %.2e" % abs(lp_val - w1_1d_discrete(mu1, n
 print("\nW1(equipartition(n), uniform[0,1]) vs 1/(4n):")
 for n in (4, 16, 64, 256):
     state = equipartition(InitialSpec(n=n))
-    d = w1_1d_vs_density(DiscreteMeasure.from_state(state), [0.0, 1.0], [1.0])
+    d = w1_1d_vs_uniform(DiscreteMeasure.from_state(state))
     print("  n = %4d:  %.8f  (1/(4n) = %.8f)" % (n, d, 1.0 / (4 * n)))
 
 # i.i.d. sampling converges too, only slower and stochastically
@@ -69,7 +70,5 @@ for n in (64, 256, 1024):
     dists = []
     for seed in range(10):
         state = sample_iid(InitialSpec(n=n), seed=seed)
-        dists.append(
-            w1_1d_vs_density(DiscreteMeasure.from_state(state), [0.0, 1.0], [1.0])
-        )
+        dists.append(w1_1d_vs_uniform(DiscreteMeasure.from_state(state)))
     print("  n = %4d:  %.5f" % (n, float(np.median(dists))))

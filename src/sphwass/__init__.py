@@ -45,7 +45,6 @@ from .sph import (
 )
 from .transport import (
     DiscreteMeasure,
-    PiecewiseConstantDensity1D,
     RateTable,
     TransportBudgetError,
     TransportPlan,
@@ -53,7 +52,7 @@ from .transport import (
     dual_certificate,
     sup_wasserstein_over_time,
     w1_1d_discrete,
-    w1_1d_vs_density,
+    w1_1d_vs_uniform,
     w1_lp,
     w1_solver,
     wasserstein1,

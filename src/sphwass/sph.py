@@ -103,13 +103,13 @@ class ParticleState:
 def compute_density(state, kernel):
     """Summation density rho_i = sum_j m_j W_h(x_i - x_j), self-term included,
     as an (n,) array: the reference for the rho of :func:`compute_accelerations`."""
-    if state.dim != kernel.dim:
-        raise ValueError(f"state dimension {state.dim} != kernel dimension {kernel.dim}")
     return _density_at(state.positions, state, kernel)
 
 
 def _density_at(y, state, kernel):
     """Regularized density sum_j m_j W_h(y_k - x_j) of ``state`` at points y."""
+    if state.dim != kernel.dim:
+        raise ValueError(f"state dimension {state.dim} != kernel dimension {kernel.dim}")
     x, other = state.positions, y is not state.positions
     walk = _Walk(state.masses, x.shape[1], kernel.h, _band(kernel, y.shape[0]),
                  n_targets=y.shape[0] if other else None)

@@ -2,9 +2,9 @@
 estimation.
 
 Three exact solvers are provided.  Between two discrete measures,
-:func:`wasserstein1` is the one entry point: it applies the solver that
-:func:`w1_solver` names for the input, the 1D sweep or one of the two
-paths of :func:`w1_lp`.
+:func:`wasserstein1` is the one entry point: it applies the 1D sweep in
+one dimension and :func:`w1_lp` in any other, whose path
+:func:`w1_solver` names.
 
 * :func:`w1_1d_discrete` -- exact in one dimension, via the identity
   W1 = integral |F_mu - F_nu| dx over the merged support;
@@ -17,9 +17,9 @@ paths of :func:`w1_lp`.
   other input goes to the transportation linear program (dual simplex),
   whose flows are then re-solved on the optimal support forest so that
   plan marginals hold to machine precision;
-* :func:`w1_1d_vs_density` -- exact semi-discrete distance in 1D against
-  a piecewise-constant density (:class:`PiecewiseConstantDensity1D`), by
-  closed-form CDF integration.
+* :func:`w1_1d_vs_uniform` -- exact semi-discrete distance in 1D to the
+  uniform law on [0, 1], the law every initial state approximates, in
+  closed form per atom over its quantile interval.
 
 :func:`write_csv` is the one CSV row writer of the package.
 
@@ -34,20 +34,19 @@ Jonker-Volgenant solver from its own file.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DiscreteMeasure",
-    "PiecewiseConstantDensity1D",
     "TransportPlan",
     "RateTable",
     "TransportBudgetError",
     "w1_1d_discrete",
     "w1_lp",
     "w1_solver",
-    "w1_1d_vs_density",
+    "w1_1d_vs_uniform",
     "wasserstein1",
     "sup_wasserstein_over_time",
     "convergence_rates",
@@ -252,7 +251,7 @@ def w1_lp(mu, nu, budget=DEFAULT_PAIR_BUDGET):
     """
     _check_same_dim(mu, nu)
     _check_budget(mu.n, nu.n, budget)
-    cost = np.linalg.norm(mu.points[:, None, :] - nu.points[None, :, :], axis=-1)
+    cost = _cost_matrix(mu, nu)
     if _assignment_applies(mu, nu, budget):
         ii, jj, mass = _solve_assignment(mu.weights, nu.weights, cost)
     else:
@@ -265,6 +264,11 @@ def w1_lp(mu, nu, budget=DEFAULT_PAIR_BUDGET):
         ii, jj, mass = arcs
     total = float(np.sum(mass * cost[ii, jj]))
     return total, TransportPlan(i=ii, j=jj, mass=mass, cost=total)
+
+
+def _cost_matrix(mu, nu):
+    """Euclidean distances |x_i - y_j| between the atoms, as an (n_s, n_t) array."""
+    return np.linalg.norm(mu.points[:, None, :] - nu.points[None, :, :], axis=-1)
 
 
 def _check_budget(n_s, n_t, budget):
@@ -405,7 +409,7 @@ def dual_certificate(mu, nu, plan):
     suboptimality of the plan.
     """
     _check_same_dim(mu, nu)
-    cost = np.linalg.norm(mu.points[:, None, :] - nu.points[None, :, :], axis=-1)
+    cost = _cost_matrix(mu, nu)
     n_s, n_t = cost.shape
     pi_s = np.zeros(n_s)
     pi_t = np.zeros(n_t)
@@ -435,70 +439,20 @@ def dual_certificate(mu, nu, plan):
     return plan.cost - dual_obj, feas_violation
 
 
-@dataclass(frozen=True)
-class PiecewiseConstantDensity1D:
-    """Normalized piecewise-constant density: ``values[i]`` on the cell
-    ``[breakpoints[i], breakpoints[i+1]]``, zero outside."""
-
-    breakpoints: tuple
-    values: tuple
-    _cum: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if bp.ndim != 1 or vals.ndim != 1 or len(bp) != len(vals) + 1:
-            raise ValueError("need m+1 breakpoints for m density values")
-        if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(vals))):
-            raise ValueError("breakpoints and density values must be finite")
-        if np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if np.any(vals < 0):
-            raise ValueError("density values must be nonnegative")
-        cum = np.concatenate([[0.0], np.cumsum(vals * np.diff(bp))])
-        if abs(cum[-1] - 1.0) > 1e-9:
-            raise ValueError(f"density must integrate to 1, got {cum[-1]!r}")
-        object.__setattr__(self, "breakpoints", tuple(bp.tolist()))
-        object.__setattr__(self, "values", tuple(vals.tolist()))
-        object.__setattr__(self, "_cum", cum)
-
-    def cdf(self, x):
-        """Distribution function: 0 below the first breakpoint, 1 from the last."""
-        bp = np.asarray(self.breakpoints)
-        x = np.clip(np.asarray(x, dtype=float), bp[0], bp[-1])
-        # the cell whose left breakpoint is the last <= x
-        idx = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, len(self.values) - 1)
-        return self._cum[idx] + np.asarray(self.values)[idx] * (x - bp[idx])
-
-
-def w1_1d_vs_density(mu, breakpoints, values):
-    """Exact 1D distance between a discrete measure and a piecewise-constant
-    density given by cell ``breakpoints`` (m+1,) and ``values`` (m,).
-
-    Integrates |F_mu - F_rho| in closed form: between consecutive nodes of
-    the merged grid F_mu is constant and F_rho is affine, so each piece is
-    a trapezoid, or two triangles where the difference changes sign.
+def w1_1d_vs_uniform(mu):
+    """Exact 1D distance between a discrete measure and the uniform law on [0, 1]:
+    the integral over quantiles q of |F_mu^{-1}(q) - q|.  The atom at x holds the
+    quantiles [a, b] between its neighbours' cumulative weights, over which |x - q|
+    integrates to ((c - a)^2 + (b - c)^2) / 2 + |x - c| (b - a), c = clip(x, a, b).
     """
     if mu.dim != 1:
-        raise ValueError("w1_1d_vs_density requires a one-dimensional measure")
-    rho = PiecewiseConstantDensity1D(breakpoints, values)
+        raise ValueError("w1_1d_vs_uniform requires a one-dimensional measure")
     order = np.argsort(mu.points[:, 0], kind="stable")
-    pts = mu.points[order, 0]
-    # merged grid of density breakpoints and atom locations
-    grid = np.unique(np.concatenate([rho.breakpoints, pts]))
-    f_mu = np.concatenate([[0.0], np.cumsum(mu.weights[order])])
-    f_mu = f_mu[np.searchsorted(pts, grid[:-1], side="right")]
-    f_rho = rho.cdf(grid)
-    c0, c1 = f_rho[:-1] - f_mu, f_rho[1:] - f_mu
-    a, b = np.abs(c0), np.abs(c1)
-    # twice the mean of |c| over a piece: |c0 + c1| without a sign change,
-    # (c0^2 + c1^2) / (|c0| + |c1|) with one
-    height = a + b
-    np.divide(a * a + b * b, height, out=height, where=c0 * c1 < 0)
-    return float(0.5 * height @ np.diff(grid))
-
-
-_CDF_SWEEP = "exact 1D CDF sweep"
+    x = mu.points[order, 0]
+    b = np.cumsum(mu.weights[order])
+    a = np.concatenate([[0.0], b[:-1]])
+    c = np.clip(x, a, b)
+    return float(0.5 * np.sum((c - a) ** 2 + (b - c) ** 2) + np.abs(x - c) @ (b - a))
 
 
 def w1_solver(mu, nu, budget=DEFAULT_PAIR_BUDGET):
@@ -509,13 +463,13 @@ def w1_solver(mu, nu, budget=DEFAULT_PAIR_BUDGET):
     """
     _check_same_dim(mu, nu)
     if mu.dim == 1:
-        return _CDF_SWEEP
+        return "exact 1D CDF sweep"
     return "assignment" if _assignment_applies(mu, nu, budget) else "transportation LP"
 
 
 def wasserstein1(mu, nu, budget=DEFAULT_PAIR_BUDGET):
-    """Exact W1 distance by the solver :func:`w1_solver` names."""
-    if w1_solver(mu, nu, budget) == _CDF_SWEEP:
+    """Exact W1 distance: :func:`w1_1d_discrete` when d = 1, :func:`w1_lp` otherwise."""
+    if mu.dim == 1:
         return w1_1d_discrete(mu, nu)
     distance, _ = w1_lp(mu, nu, budget=budget)
     return distance

@@ -28,7 +28,7 @@ from sphwass import (
     run,
     run_convergence_study,
     w1_1d_discrete,
-    w1_1d_vs_density,
+    w1_1d_vs_uniform,
     w1_lp,
 )
 
@@ -204,7 +204,7 @@ def test_criterion_5_equipartition_identity():
     for k in range(1, 11):
         n = 2**k
         mu = DiscreteMeasure.from_state(equipartition(InitialSpec(n=n)))
-        dist = w1_1d_vs_density(mu, [0.0, 1.0], [1.0])
+        dist = w1_1d_vs_uniform(mu)
         worst = max(worst, abs(dist - 1.0 / (4 * n)))
         bound_ok &= dist <= 1.0 / (2 * n)
     ok = worst <= 1e-12 and bound_ok

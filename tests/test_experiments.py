@@ -383,6 +383,12 @@ class TestDensityProfile:
         with pytest.raises(ValueError):
             density_profile(state, Gaussian1D(1.0), np.zeros((5, 1)))
 
+    def test_kernel_dimension_checked(self):
+        # the grid matches the state, so only the kernel's dimension can refuse it
+        state = equipartition(InitialSpec(n=4, dim=2))
+        with pytest.raises(ValueError, match="kernel dimension"):
+            density_profile(state, Gaussian1D(1.0), np.array([[0.5, 0.0]]))
+
 
 class TestEmitReport:
     def test_report_files_and_schemas(self, tmp_path):

@@ -4,13 +4,12 @@ import pytest
 from sphwass import (
     DiscreteMeasure,
     InitialSpec,
-    PiecewiseConstantDensity1D,
     equipartition,
     preset,
     rotation_velocity,
     sample_iid,
     select_h,
-    w1_1d_vs_density,
+    w1_1d_vs_uniform,
 )
 
 
@@ -48,7 +47,7 @@ class TestEquipartition:
             n = 2**k
             state = equipartition(InitialSpec(n=n))
             mu = DiscreteMeasure.from_state(state)
-            dist = w1_1d_vs_density(mu, [0.0, 1.0], [1.0])
+            dist = w1_1d_vs_uniform(mu)
             assert abs(dist - 1.0 / (4 * n)) <= 1e-12
             assert dist <= 1.0 / (2 * n)
 
@@ -116,7 +115,7 @@ class TestSampleIid:
             for seed in range(20):
                 state = sample_iid(InitialSpec(n=n), seed=seed)
                 mu = DiscreteMeasure.from_state(state)
-                dists.append(w1_1d_vs_density(mu, [0.0, 1.0], [1.0]))
+                dists.append(w1_1d_vs_uniform(mu))
             return np.median(dists)
 
         assert median_dist(1024) < median_dist(64)
@@ -173,28 +172,3 @@ class TestPresets:
         assert np.all(equipartition(s3).velocities == 0.0)
         with pytest.raises(ValueError):
             preset("nope", 4)
-
-
-class TestDensity1D:
-    def test_validates_normalization(self):
-        with pytest.raises(ValueError):
-            PiecewiseConstantDensity1D((0.0, 1.0), (2.0,))
-
-    @pytest.mark.parametrize(
-        "breakpoints, values",
-        [
-            ((0.0, np.nan), (1.0,)),
-            ((np.nan, 1.0), (1.0,)),
-            ((0.0, np.inf), (0.0,)),
-            ((0.0, 0.5, 1.0), (np.nan, 1.0)),
-            ((0.0, 0.5, 1.0), (np.inf, 1.0)),
-        ],
-    )
-    def test_rejects_nonfinite(self, breakpoints, values):
-        with pytest.raises(ValueError, match="finite"):
-            PiecewiseConstantDensity1D(breakpoints, values)
-
-    def test_cdf_matches_integrate(self):
-        dens = PiecewiseConstantDensity1D((0.0, 0.5, 1.0), (1.5, 0.5))
-        xs = np.array([-1.0, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0])
-        np.testing.assert_allclose(dens.cdf(xs), [0.0, 0.0, 0.375, 0.75, 0.875, 1.0, 1.0])

@@ -13,7 +13,7 @@ from sphwass import (
     dual_certificate,
     sup_wasserstein_over_time,
     w1_1d_discrete,
-    w1_1d_vs_density,
+    w1_1d_vs_uniform,
     w1_lp,
     w1_solver,
     wasserstein1,
@@ -122,8 +122,11 @@ class TestW1LP:
             w1_lp(mu, nu, budget=16)
 
     def test_dimension_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            w1_lp(random_measure(rng, 3, dim=1), random_measure(rng, 3, dim=2))
+        a, b = random_measure(rng, 3, dim=1), random_measure(rng, 3, dim=2)
+        for solve in (w1_lp, wasserstein1):
+            for mu, nu in ((a, b), (b, a)):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    solve(mu, nu)
 
 
 def lp_reference(mu, nu):
@@ -243,6 +246,22 @@ class TestAssignmentDispatch:
         assert w1_solver(mu, nu) == "exact 1D CDF sweep"
         assert wasserstein1(mu, nu) == w1_1d_discrete(mu, nu)
         assert not linprog_calls
+
+    @pytest.mark.parametrize("n_s, n_t", [(16, 64), (3, 5)], ids=["assignment", "lp"])
+    def test_path_chosen_once_per_distance(self, rng, monkeypatch, n_s, n_t):
+        calls = []
+        applies = transport._assignment_applies
+
+        def counting(*args):
+            calls.append(args)
+            return applies(*args)
+
+        monkeypatch.setattr(transport, "_assignment_applies", counting)
+        mu = DiscreteMeasure(rng.random((n_s, 2)), np.full(n_s, 1.0 / n_s))
+        nu = DiscreteMeasure(rng.random((n_t, 2)), np.full(n_t, 1.0 / n_t))
+        distance = wasserstein1(mu, nu)
+        assert len(calls) == 1
+        assert distance == w1_lp(mu, nu)[0]
 
 
 def lsap_inputs():
@@ -375,8 +394,8 @@ class TestDualCertificate:
 
 
 def segment_loop_w1(mu, breakpoints, values):
-    """The semi-discrete distance by a Python loop over the merged grid: the
-    implementation before it was vectorized, kept as an oracle."""
+    """The distance to a piecewise-constant density by a Python loop over the
+    merged grid of breakpoints and atoms, kept as an oracle for the closed form."""
     order = np.argsort(mu.points[:, 0], kind="stable")
     pts_sorted = mu.points[order, 0]
     grid = np.unique(np.concatenate([breakpoints, pts_sorted]))
@@ -403,87 +422,54 @@ def segment_loop_w1(mu, breakpoints, values):
 
 class TestSemiDiscrete:
     def test_midpoint_construction_exact_quarter_n(self):
-        for n in (1, 2, 4, 16, 64):
+        for n in [1, 3] + [2**e for e in range(1, 15)]:
             pts = (np.arange(1, n + 1) / n - 0.5 / n)[:, None]
             mu = DiscreteMeasure(pts, np.full(n, 1.0 / n))
-            dist = w1_1d_vs_density(mu, [0.0, 1.0], [1.0])
-            assert dist == pytest.approx(1.0 / (4 * n), abs=1e-15)
+            assert w1_1d_vs_uniform(mu) == pytest.approx(1.0 / (4 * n), abs=1e-15)
 
     def test_matches_dense_grid_oracle(self, rng):
-        # numeric oracle: trapezoid integration of |F_mu - F_rho| on a fine grid
-        breaks = [0.0, 0.4, 1.0]
-        vals = [1.75, 0.5]
-        mu = random_measure(rng, 9)
-        exact = w1_1d_vs_density(mu, breaks, vals)
-        xs = np.linspace(-0.2, 1.2, 400001)
-        f_mu = np.searchsorted(np.sort(mu.points[:, 0]), xs, side="right")
-        cum = np.concatenate([[0.0], np.cumsum(mu.weights[np.argsort(mu.points[:, 0])])])
-        f_mu = cum[f_mu]
-        f_rho = np.clip(np.minimum(1.75 * xs, 0.7 + 0.5 * (xs - 0.4)), 0.0, 1.0)
-        f_rho[xs < 0] = 0.0
-        oracle = np.trapezoid(np.abs(f_mu - f_rho), xs)
-        # the oracle quantizes atom locations to its grid (spacing 3.5e-6)
+        # numeric oracle: trapezoid integration of |F_mu - F_uniform| on a fine grid
+        mu = DiscreteMeasure(rng.uniform(-0.5, 1.5, (9, 1)), normalized(rng.random(9) + 0.05))
+        exact = w1_1d_vs_uniform(mu)
+        xs = np.linspace(-0.7, 1.7, 800001)
+        order = np.argsort(mu.points[:, 0])
+        cum = np.concatenate([[0.0], np.cumsum(mu.weights[order])])
+        f_mu = cum[np.searchsorted(mu.points[order, 0], xs, side="right")]
+        oracle = np.trapezoid(np.abs(f_mu - np.clip(xs, 0.0, 1.0)), xs)
+        # the oracle quantizes atom locations to its grid (spacing 3e-6)
         assert exact == pytest.approx(oracle, abs=5e-6)
 
     def test_n4_reference_value(self):
         pts = (np.arange(1, 5) / 4 - 0.125)[:, None]
         mu = DiscreteMeasure(pts, np.full(4, 0.25))
-        assert w1_1d_vs_density(mu, [0.0, 1.0], [1.0]) == pytest.approx(0.0625, abs=1e-15)
+        assert w1_1d_vs_uniform(mu) == pytest.approx(0.0625, abs=1e-15)
 
     def test_single_atom_vs_uniform(self):
         mu = DiscreteMeasure([[0.5]], [1.0])
-        assert w1_1d_vs_density(mu, [0.0, 1.0], [1.0]) == pytest.approx(0.25, abs=1e-15)
+        assert w1_1d_vs_uniform(mu) == pytest.approx(0.25, abs=1e-15)
 
-    @pytest.mark.parametrize(
-        "breakpoints, values",
-        [([0.0, 1.0], [np.nan]), ([0.0, np.nan], [1.0]), ([0.0, np.inf], [0.0]),
-         ([-np.inf, 0.0], [1.0]), ([0.0, 0.5, 1.0], [np.inf, 1.0])],
-    )
-    def test_rejects_nonfinite_density(self, breakpoints, values):
-        # the NaN density used to come back as a silent NaN distance
-        mu = DiscreteMeasure([[0.5]], [1.0])
-        with pytest.raises(ValueError, match="finite"):
-            w1_1d_vs_density(mu, breakpoints, values)
-
-    @pytest.mark.parametrize(
-        "breakpoints, values",
-        [([0.0, 1.0], [1.0, 1.0]), ([[0.0, 1.0]], [1.0]), ([0.0, 1.0], [[1.0]]),
-         ([1.0, 0.0], [-1.0]), ([0.0, 0.5, 1.0], [-1.0, 3.0])],
-    )
-    def test_rejects_malformed_density(self, breakpoints, values):
-        mu = DiscreteMeasure([[0.5]], [1.0])
-        with pytest.raises(ValueError):
-            w1_1d_vs_density(mu, breakpoints, values)
+    @pytest.mark.parametrize("x", [2.0, -1.0])
+    def test_single_atom_outside_the_unit_interval(self, x):
+        # all the mass moves from x to [0, 1]: 1 to the near end plus 1/2 on average
+        assert w1_1d_vs_uniform(DiscreteMeasure([[x]], [1.0])) == 1.5
 
     def test_rejects_two_dimensional_measure(self):
         with pytest.raises(ValueError):
-            w1_1d_vs_density(DiscreteMeasure([[0.5, 0.5]], [1.0]), [0.0, 1.0], [1.0])
+            w1_1d_vs_uniform(DiscreteMeasure([[0.5, 0.5]], [1.0]))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_matches_segment_loop(self, data):
-        m = data.draw(st.integers(1, 4), label="cells")
         n = data.draw(st.integers(1, 8), label="atoms")
-        # a coarse lattice makes atoms tie with each other and with breakpoints
+        # a coarse lattice makes atoms tie with each other and with 0 and 1
         lattice = st.integers(-4, 12).map(lambda i: i / 8)
-        widths = data.draw(st.lists(st.integers(1, 4), min_size=m, max_size=m), label="widths")
-        breakpoints = np.concatenate([[0.0], np.cumsum(widths) / 8])
-        mass = np.array(data.draw(
-            st.lists(st.integers(0, 5), min_size=m, max_size=m).filter(any), label="mass"
-        ), dtype=float)
-        values = mass / mass.sum() / np.diff(breakpoints)
         pts = np.array(data.draw(st.lists(lattice, min_size=n, max_size=n), label="pts"))
         w = np.array(data.draw(
             st.lists(st.integers(1, 9), min_size=n, max_size=n), label="w"
         ), dtype=float)
         mu = DiscreteMeasure(pts[:, None], w / w.sum())
-        got = w1_1d_vs_density(mu, breakpoints, values)
-        assert got == pytest.approx(segment_loop_w1(mu, breakpoints, values), abs=1e-14)
-
-    def test_rejects_unnormalized_density(self):
-        mu = DiscreteMeasure([[0.5]], [1.0])
-        with pytest.raises(ValueError):
-            w1_1d_vs_density(mu, [0.0, 1.0], [2.0])
+        oracle = segment_loop_w1(mu, np.array([0.0, 1.0]), np.array([1.0]))
+        assert w1_1d_vs_uniform(mu) == pytest.approx(oracle, abs=1e-14)
 
 
 class TestSupOverTime:
