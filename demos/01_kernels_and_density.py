@@ -34,9 +34,8 @@ for h in (0.1, 1.0, 10.0):
     )
 
 # The Wendland shape needs the 1/(6.4 pi h^2) prefactor; the bare 1/8 seen
-# in some references integrates to 0.8*pi instead of 1:
-bare = WendlandCubic2D(h=1.0, norm_const=1.0 / 8.0)
-print("bare-1/8 Wendland integral deviates from 1 by %.4f" % bare.normalization_residual())
+# in some references integrates to 0.125 / norm_const = 0.8*pi instead of 1:
+print("bare-1/8 Wendland integral deviates from 1 by %.4f" % abs(0.125 / wend.norm_const - 1))
 
 # --- from particles to a density field ---------------------------------------
 

@@ -10,7 +10,7 @@ one constructor; :func:`validate_config` builds the plan and turns their
     gamma, kappa                      EosPolytropic, for every family
     theta, eta                        ForceModel
     dt, t_end                         IntegratorConfig; t_end > 0 ExperimentPlan
-    h_mode.value, h_mode.epsilon      the kernel, as its smoothing length
+    h_mode.value, h_mode.epsilon      select_h and the kernel, at every rung's h
     morse.c_a, .c_r, .l_a, .l_r, .r_cut  MorseInteraction (morse_2d only)
     resolutions, n_snapshots          ExperimentPlan
 """

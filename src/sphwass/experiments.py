@@ -109,9 +109,12 @@ class ExperimentPlan:
         if self.family not in FAMILIES:
             raise ParameterError("family", f"unknown family {self.family!r}")
         ks = tuple(int(k) for k in self.resolutions)
-        # a rate compares two consecutive distances, so three rungs
+        # A rate compares two consecutive distances, so three rungs.  A rung's
+        # particle count is an int64 index, and is computed below.
         if len(ks) < 3 or ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
             raise ParameterError("resolutions", "need three or more increasing resolutions >= 1")
+        if ks[-1] * self.dim > 62:
+            raise ParameterError("resolutions", f"k = {ks[-1]} makes more than 2^62 particles")
         object.__setattr__(self, "resolutions", ks)
         if self.n_snapshots < 2:
             raise ParameterError("n_snapshots", "need at least two snapshot times")
@@ -132,7 +135,15 @@ class ExperimentPlan:
             raise ParameterError(
                 "n_snapshots", f"at most {n_steps + 1} snapshot times fit {n_steps} steps"
             )
-        self.kernel(self.h_value)
+        # The kernel at every rung's h.  select_h's note on the customary range
+        # is the run's to give.
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "resolution-scaling factor", RuntimeWarning)
+            for k in ks:
+                spec = preset(FAMILIES[self.family]["preset"], self.particles_at(k))
+                self.kernel(select_h(spec, self.h_mode, self.h_value))
 
     @property
     def dim(self):

@@ -137,14 +137,12 @@ class MorseInteraction:
         return np.asarray(c)[..., None] * x
 
     @lru_cache  # frozen and hashable: the rungs of a study share one computation
-    def sup_norm(self, r_max=None, n_samples=200001):
-        """Sampled sup of |K| over radii in [0, r_max] (dense grid), taken in
-        chunks of 4096 samples to keep temporaries small; max is exact."""
-        if r_max is None:
-            r_max = 20.0 * max(self.l_a, self.l_r)
-        r = np.linspace(0.0, r_max, n_samples)
+    def sup_norm(self):
+        """Sampled sup of |K| over 200001 radii in [0, 20 max(l_a, l_r)], taken
+        in chunks of 4096 samples to keep temporaries small; max is exact."""
+        r = np.linspace(0.0, 20.0 * max(self.l_a, self.l_r), 200001)
         sups = []
-        for rc in np.split(r, range(4096, n_samples, 4096)):
+        for rc in np.split(r, range(4096, r.size, 4096)):
             taper = np.where(rc < self.r_cut, _smoothstep(rc / self.r_cut), 1.0)
             sups.append(np.abs(self.u_prime(rc) * taper).max())
         return float(np.max(sups))

@@ -115,7 +115,9 @@ def select_h(spec, mode, value):
     else:
         raise ValueError(f"unknown h mode {mode!r}")
     if h <= 0:
-        raise ValueError(f"smoothing length must be positive, got {h}")
+        from .params import ParameterError
+
+        raise ParameterError("h", f"h must be positive, got {h}")
     return h
 
 

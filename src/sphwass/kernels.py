@@ -14,16 +14,16 @@ Two families are provided:
             \\quad\\text{for } |x| \\le 2h,
 
   and zero outside.  The shape integrates to ``6.4 pi h^2`` over the
-  plane, so the unit-integral normalization constant is
-  ``sigma = 1 / (6.4 pi h^2)``.  (A bare ``1/8`` prefactor, sometimes
-  seen for this shape, does not normalize it in 2D; pass ``norm_const``
-  explicitly to reproduce that convention.)
+  plane, so ``sigma = 1 / (6.4 pi h^2)``; a bare ``1/8``, sometimes seen
+  for this shape, does not normalize it in 2D.
 
-Both kernels are nonnegative, even, and integrate to one; gradients are
-analytic and vanish at the origin.  ``shapes`` gives the unscaled value and
-gradient shapes w and g at u^2 = r^2 / h^2 from one radial evaluation, with
-W = norm_const w and grad W(x) = grad_const g x: the pair sums apply the
-constants to their n-row results.  Instances are immutable and thread-safe.
+Both kernels take ``h`` only, are nonnegative and even, and integrate to
+one; gradients are analytic and vanish at the origin.  ``shapes`` gives
+the unscaled value and gradient shapes w and g at u^2 = r^2 / h^2 from one
+radial evaluation, with W = norm_const w and grad W(x) = grad_const g x:
+the pair sums apply the constants to their n-row results.  Points go
+through ``value_from_sq`` and ``grad_scale_from_sq``, W and g as functions
+of r^2.  Instances are immutable and thread-safe.
 """
 
 import numpy as np
@@ -48,28 +48,9 @@ def _smoothing_length(h):
     return h
 
 
-class _Radial:
-    """Point evaluation shared by both kernels, from their functions of r^2."""
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.value_from_sq(_squared_radius(x, self.dim))
-
-    def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        r2 = _squared_radius(x, self.dim)
-        g = self.grad_scale_from_sq(r2)
-        return g * x if x.shape == r2.shape else g[..., None] * x
-
-
-class Gaussian1D(_Radial):
-    """Gaussian smoothing kernel on the real line, with full support.
-
-    Parameters
-    ----------
-    h : float
-        Smoothing length, must be positive.
-    """
+class Gaussian1D:
+    """Gaussian smoothing kernel on the real line, with full support, for the
+    smoothing length ``h > 0``."""
 
     dim = 1
     support_radius = np.inf
@@ -101,33 +82,23 @@ class Gaussian1D(_Radial):
         """sup |W'|, attained at x = h/sqrt(2)."""
         return np.sqrt(2.0) * np.exp(-0.5) / (SQRT_PI * self.h * self.h)
 
-    def normalization_residual(self, n_nodes=80):
-        """|integral of W - 1| by Gauss-Hermite quadrature."""
-        u, wts = np.polynomial.hermite.hermgauss(n_nodes)
+    def normalization_residual(self):
+        """|integral of W - 1| by 80-node Gauss-Hermite quadrature."""
+        u, wts = np.polynomial.hermite.hermgauss(80)
         # substitute x = h*u: integral = sum w_i * exp(u^2) * W(h u) * h
         vals = np.exp(u * u) * self.value_from_sq((self.h * u) ** 2) * self.h
         return abs(float(wts @ vals) - 1.0)
 
 
-class WendlandCubic2D(_Radial):
-    """Compactly supported cubic Wendland kernel in the plane.
-
-    Parameters
-    ----------
-    h : float
-        Smoothing length; the support radius is ``2 h``.
-    norm_const : float, optional
-        Override the normalization prefactor.  The default,
-        ``1 / (6.4 pi h^2)``, makes the kernel integrate to one.
-    """
+class WendlandCubic2D:
+    """Compactly supported cubic Wendland kernel in the plane, for the
+    smoothing length ``h > 0``; the support radius is ``2 h``."""
 
     dim = 2
 
-    def __init__(self, h, norm_const=None):
+    def __init__(self, h):
         self.h = _smoothing_length(h)
-        if norm_const is None:
-            norm_const = 1.0 / (_WENDLAND_SHAPE_INTEGRAL * self.h * self.h)
-        self.norm_const = float(norm_const)
+        self.norm_const = 1.0 / (_WENDLAND_SHAPE_INTEGRAL * self.h * self.h)
         self.grad_const = -6.0 * self.norm_const / (self.h * self.h)
 
     @property
@@ -163,9 +134,9 @@ class WendlandCubic2D(_Radial):
         """sup |grad W|; |dW/dr| = 6 sigma r (2 - r/h)^2 / h^2 peaks at r = 2h/3."""
         return 6.0 * self.norm_const * (32.0 / 27.0) / self.h
 
-    def normalization_residual(self, n_nodes=64):
-        """|integral of W - 1| by radial Gauss-Legendre quadrature."""
-        nodes, wts = np.polynomial.legendre.leggauss(n_nodes)
+    def normalization_residual(self):
+        """|integral of W - 1| by 64-node radial Gauss-Legendre quadrature."""
+        nodes, wts = np.polynomial.legendre.leggauss(64)
         r = 0.5 * self.support_radius * (nodes + 1.0)
         scale = 0.5 * self.support_radius
         integrand = 2.0 * np.pi * r * self.value_from_sq(r * r)
@@ -174,18 +145,3 @@ class WendlandCubic2D(_Radial):
 
 # The kernel sphwass uses for particles in each dimension.
 KERNEL_FOR_DIM = {1: Gaussian1D, 2: WendlandCubic2D}
-
-
-def _squared_radius(x, dim):
-    """Squared norm along the last axis; 1D points may be plain scalars."""
-    if x.ndim == 0:
-        if dim != 1:
-            raise ValueError(f"scalar point passed to a {dim}-dimensional kernel")
-        return x * x
-    if x.shape[-1] == dim:
-        return np.einsum("...d,...d->...", x, x)
-    if dim == 1:
-        return x * x
-    raise ValueError(
-        f"point has trailing dimension {x.shape[-1]}, kernel expects {dim}"
-    )

@@ -57,6 +57,27 @@ def test_dt_too_small_for_t_end_exits_2_naming_dt(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_scaled_h_checked_at_every_rung_exits_2_naming_epsilon(tmp_path, capsys):
+    # epsilon = 2e-77 lies within the kernel's range, but rung k runs at
+    # h = epsilon * 2^-k, and 1e-77 < 2^-255 already at k = 1; select_h's note
+    # on the customary range (a RuntimeWarning, an error here) is not given
+    cfg = {**BASE, "h_mode": {"mode": "scaled", "epsilon": 2e-77}, "t_end": 0.01,
+           "n_snapshots": 2, "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 2
+    assert "'h_mode.epsilon'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_rung_beyond_2_to_the_62_particles_rejected():
+    # the plan builds each rung's kernel, at a count that must stay an int64
+    with pytest.raises(ConfigError) as err:
+        validate_config({**BASE, "resolutions": [1, 2, 10**18]})
+    assert err.value.field == "resolutions"
+    validate_config({"family": "expansion_1d", "resolutions": [1, 2, 62]})
+
+
 def test_more_snapshots_than_steps_exit_2_before_the_grid_is_built(
     tmp_path, capsys, monkeypatch
 ):

@@ -154,8 +154,8 @@ def plain_force_scale(m, r):
         return np.where(r > 0.0, -m.u_prime(r) * taper / np.where(r > 0, r, 1.0), 0.0)
 
 
-def plain_sup_norm(m, r_max, n_samples):
-    r = np.linspace(0.0, r_max, n_samples)
+def plain_sup_norm(m):
+    r = np.linspace(0.0, 20.0 * max(m.l_a, m.l_r), 200001)
     taper = np.where(r < m.r_cut, smoothstep(r / m.r_cut), 1.0)
     return float(np.abs(m.u_prime(r) * taper).max())
 
@@ -185,16 +185,10 @@ class TestMorseEvaluation:
         assert np.all(np.abs(c - plain) <= 4 * np.spacing(np.abs(plain)))
         assert np.all(c[r == 0.0] == 0.0)
 
-    # |K| rises all the way to r = 0.08 < r_cut, so there the max is the
-    # last sample, in a partial chunk
-    @pytest.mark.parametrize(
-        "kwargs", [{}, {"n_samples": 3 * 4096 + 17}, {"r_max": 0.08, "n_samples": 3 * 4096 + 17}]
-    )
-    def test_sup_norm_is_bitwise_the_one_shot_grid(self, kwargs):
+    def test_sup_norm_is_bitwise_the_one_shot_grid(self):
+        # 200001 = 48 * 4096 + 3393 samples: the last chunk is a short one
         m = MorseInteraction(**PAPER_MORSE)
-        r_max = kwargs.get("r_max", 20.0 * max(m.l_a, m.l_r))
-        expected = plain_sup_norm(m, r_max, kwargs.get("n_samples", 200001))
-        assert m.sup_norm(**kwargs) == expected
+        assert m.sup_norm() == plain_sup_norm(m)
 
     def test_sup_norm_keeps_its_temporaries_small(self):
         m = MorseInteraction(**PAPER_MORSE)

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from sphwass import Gaussian1D, WendlandCubic2D
 
+from conftest import plain_value_and_grad
+
 HS = [0.1, 1.0, 10.0]
 
 
@@ -19,10 +21,18 @@ def random_points(rng, kernel, count, radius=None):
     return pts
 
 
+def value_and_grad(kernel, x):
+    """W(x) and grad W(x) at points x of shape (..., dim), from the kernel's
+    functions of r^2."""
+    x = np.asarray(x, dtype=float)
+    r2 = np.einsum("...d,...d->...", x, x)
+    return kernel.value_from_sq(r2), kernel.grad_scale_from_sq(r2)[..., None] * x
+
+
 def test_gaussian_peak_value():
     k = Gaussian1D(1.0)
-    assert k.value(0.0) == pytest.approx(1.0 / np.sqrt(np.pi), abs=1e-15)
-    assert k.value(0.0) == pytest.approx(0.5641895835, abs=1e-9)
+    assert k.value_from_sq(0.0) == pytest.approx(1.0 / np.sqrt(np.pi), abs=1e-15)
+    assert k.value_from_sq(0.0) == pytest.approx(0.5641895835, abs=1e-9)
 
 
 def test_gaussian_nonpositive_h_rejected():
@@ -52,10 +62,10 @@ def test_h_whose_constants_overflow_rejected(kernel, h):
 
 def test_wendland_vanishes_at_support_edge():
     k = WendlandCubic2D(1.0)
-    assert k.value(np.array([2.0, 0.0])) == 0.0
-    assert k.value(np.array([0.0, 2.0 + 1e-12])) == 0.0
+    assert k.value_from_sq(2.0**2) == 0.0
+    assert k.value_from_sq((2.0 + 1e-12) ** 2) == 0.0
     # continuity approaching the edge from inside
-    inside = k.value(np.array([2.0 - 1e-8, 0.0]))
+    inside = k.value_from_sq((2.0 - 1e-8) ** 2)
     assert 0.0 < inside < 1e-20
 
 
@@ -71,15 +81,15 @@ def test_wendland_normalization_constant_from_quadrature():
         k = WendlandCubic2D(h)
         assert k.norm_const == pytest.approx(1.0 / shape_integral, rel=1e-10)
     k1 = WendlandCubic2D(1.0)
-    assert k1.value(np.zeros(2)) == pytest.approx(8.0 / (6.4 * np.pi), abs=1e-12)
-    assert k1.value(np.zeros(2)) == pytest.approx(0.39789, abs=5e-6)
+    assert k1.value_from_sq(0.0) == pytest.approx(8.0 / (6.4 * np.pi), abs=1e-12)
+    assert k1.value_from_sq(0.0) == pytest.approx(0.39789, abs=5e-6)
 
 
 def test_wendland_bare_prefactor_is_not_normalized():
     # with the bare 1/8 prefactor the 2D integral is 0.8*pi*h^2, not 1
-    k = WendlandCubic2D(1.0, norm_const=1.0 / 8.0)
-    assert k.normalization_residual() == pytest.approx(0.8 * np.pi - 1.0, abs=1e-9)
-    assert k.normalization_residual() == pytest.approx(1.513, abs=5e-4)
+    deviation = abs(0.125 / WendlandCubic2D(1.0).norm_const - 1)
+    assert deviation == pytest.approx(0.8 * np.pi - 1.0, abs=1e-9)
+    assert deviation == pytest.approx(1.513, abs=5e-4)
 
 
 @pytest.mark.parametrize("h", HS)
@@ -92,16 +102,18 @@ def test_normalization_residuals(h):
 def test_evenness_exact(h, rng):
     for kernel in make_kernels(h):
         pts = random_points(rng, kernel, 10000)
-        np.testing.assert_array_equal(kernel.value(pts), kernel.value(-pts))
+        np.testing.assert_array_equal(value_and_grad(kernel, pts)[0],
+                                      value_and_grad(kernel, -pts)[0])
 
 
 @pytest.mark.parametrize("h", [0.5, 1.0, 3.0])
 def test_gradient_odd_and_zero_at_origin(h, rng):
     for kernel in make_kernels(h):
         origin = np.zeros(kernel.dim)
-        np.testing.assert_array_equal(kernel.gradient(origin), origin)
+        np.testing.assert_array_equal(value_and_grad(kernel, origin)[1], origin)
         pts = random_points(rng, kernel, 1000)
-        np.testing.assert_array_equal(kernel.gradient(pts), -kernel.gradient(-pts))
+        np.testing.assert_array_equal(value_and_grad(kernel, pts)[1],
+                                      -value_and_grad(kernel, -pts)[1])
 
 
 @pytest.mark.parametrize("h", [0.5, 1.0, 3.0])
@@ -111,12 +123,13 @@ def test_gradient_matches_finite_differences(h, rng):
         radius = 2.5 * h if kernel.dim == 1 else 1.9 * h
         pts = rng.uniform(-radius / np.sqrt(kernel.dim), radius / np.sqrt(kernel.dim),
                           size=(1000, kernel.dim))
-        grad = kernel.gradient(pts)
+        grad = value_and_grad(kernel, pts)[1]
         step = 1e-6 * h
         for axis in range(kernel.dim):
             shift = np.zeros(kernel.dim)
             shift[axis] = step
-            fd = (kernel.value(pts + shift) - kernel.value(pts - shift)) / (2 * step)
+            fd = (value_and_grad(kernel, pts + shift)[0]
+                  - value_and_grad(kernel, pts - shift)[0]) / (2 * step)
             scale = np.maximum(np.abs(grad[:, axis]), kernel.peak_value() / h)
             rel = np.abs(fd - grad[:, axis]) / scale
             assert rel.max() <= 1e-6
@@ -125,36 +138,37 @@ def test_gradient_matches_finite_differences(h, rng):
 def test_gaussian_gradient_value():
     k = Gaussian1D(1.0)
     x = 0.5
-    expected = -2.0 * x * k.value(x)
-    assert k.gradient(np.array([x]))[0] == pytest.approx(expected, rel=1e-14)
+    expected = -2.0 * x * k.value_from_sq(x * x)
+    assert k.grad_scale_from_sq(x * x) * x == pytest.approx(expected, rel=1e-14)
     assert expected == pytest.approx(-0.43939, abs=5e-6)
     # central finite difference oracle
     step = 1e-6
-    fd = (k.value(x + step) - k.value(x - step)) / (2 * step)
-    assert k.gradient(np.array([x]))[0] == pytest.approx(fd, rel=1e-6)
+    fd = (k.value_from_sq((x + step) ** 2) - k.value_from_sq((x - step) ** 2)) / (2 * step)
+    assert k.grad_scale_from_sq(x * x) * x == pytest.approx(fd, rel=1e-6)
 
 
 def test_wendland_gradient_zero_at_and_outside_support(rng):
     k = WendlandCubic2D(1.0)
     edge = np.array([2.0, 0.0])
-    np.testing.assert_array_equal(k.gradient(edge), np.zeros(2))
+    np.testing.assert_array_equal(value_and_grad(k, edge)[1], np.zeros(2))
     outside = rng.uniform(2.0, 10.0, size=(500, 2))
     outside *= (np.linalg.norm(outside, axis=1) > 2.0)[:, None] + 0.0
     mask = np.linalg.norm(outside, axis=1) > 2.0
-    assert np.all(k.value(outside[mask]) == 0.0)
-    assert np.all(k.gradient(outside[mask]) == 0.0)
+    w, grad = value_and_grad(k, outside[mask])
+    assert np.all(w == 0.0)
+    assert np.all(grad == 0.0)
 
 
 def test_gradient_sup_norm_matches_numeric_maximization():
     for h in HS:
         g = Gaussian1D(h)
         xs = np.linspace(0, 6 * h, 200001)
-        numeric = np.abs(g.gradient(xs[:, None])[:, 0]).max()
+        numeric = np.abs(value_and_grad(g, xs[:, None])[1][:, 0]).max()
         assert g.grad_sup_norm() == pytest.approx(numeric, rel=1e-8)
         w = WendlandCubic2D(h)
         r = np.linspace(0, 2 * h, 200001)
         pts = np.stack([r, np.zeros_like(r)], axis=1)
-        numeric_w = np.linalg.norm(w.gradient(pts), axis=1).max()
+        numeric_w = np.linalg.norm(value_and_grad(w, pts)[1], axis=1).max()
         assert w.grad_sup_norm() == pytest.approx(numeric_w, rel=1e-8)
 
 
@@ -166,12 +180,7 @@ def test_gaussian_grad_sup_norm_reference_value():
 def test_kernel_values_nonnegative(rng):
     for kernel in make_kernels(1.0):
         pts = random_points(rng, kernel, 5000, radius=5.0)
-        assert np.all(kernel.value(pts) >= 0.0)
-
-
-def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
-        WendlandCubic2D(1.0).value(np.zeros((4, 3)))
+        assert np.all(value_and_grad(kernel, pts)[0] >= 0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -189,17 +198,6 @@ def test_exact_zeros_beyond_the_support(h, ulps, scale):
     r2 = r2[r2 > edge]
     assert np.all(kernel.value_from_sq(r2) == 0.0)
     assert np.all(kernel.grad_scale_from_sq(r2) == 0.0)
-
-
-def plain_value_and_grad(kernel, r2):
-    """Each kernel's W and g as plain numpy expressions, in their operation order."""
-    hh = kernel.h * kernel.h
-    if isinstance(kernel, Gaussian1D):
-        w = kernel.norm_const * np.exp(-r2 / hh)
-        return w, -2.0 * w / hh
-    q = np.sqrt(r2) / kernel.h
-    t = np.maximum(2.0 - q, 0.0)
-    return kernel.norm_const * (1.0 + 1.5 * q) * t * t * t, -6.0 * kernel.norm_const * t * t / hh
 
 
 def assert_same_bits(a, b):
