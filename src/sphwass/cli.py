@@ -18,6 +18,7 @@ reproducible from files alone.
 
 import argparse
 import csv
+import os
 import sys
 import time
 
@@ -65,6 +66,7 @@ def cmd_run(args):
     cfg = load_config(args.config)
     if args.output_dir is not None:
         cfg["output_dir"] = args.output_dir
+    _check_output_dir(cfg["output_dir"])
     plan = plan_from_config(cfg)
     if cfg["verbosity"] >= 1:
         ns = ", ".join(str(plan.particles_at(k)) for k in plan.resolutions)
@@ -88,6 +90,20 @@ def cmd_run(args):
             )
         print(f"report written to {cfg['output_dir']}")
     return EXIT_OK
+
+
+def _check_output_dir(path):
+    """A ConfigError unless ``path`` is nonempty and its nearest existing ancestor is a
+    writable directory, so the report can be written once the study is done; writes
+    nothing.  ``--output-dir`` comes after the config's own check."""
+    if not path:
+        raise ConfigError("output_dir", "must be a nonempty string")
+    ancestor = os.path.abspath(path)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not (os.path.isdir(ancestor) and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise ConfigError("output_dir", f"cannot create {path}: {ancestor} is not a writable "
+                          "directory")
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import ParameterError
 from .sph import ParticleState
 
 __all__ = [
@@ -100,8 +101,12 @@ def select_h(spec, mode, value):
     factor, usually between 1.2 and 1.5)."""
     if mode == "fixed":
         h = float(value)
+        if h <= 0:
+            raise ParameterError("h", f"h must be positive, got {h}")
     elif mode == "scaled":
         eps = float(value)
+        if not eps > 0:  # named by the number written, not by the h it gives
+            raise ParameterError("h", f"h must come from a positive epsilon, got {value}")
         if not 1.2 <= eps <= 1.5:
             import warnings
 
@@ -112,12 +117,11 @@ def select_h(spec, mode, value):
             )
         vol0 = 1.0 / spec.n
         h = eps * vol0 ** (1.0 / spec.dim)
+        if h == 0:
+            raise ParameterError(
+                "h", f"h must be positive; epsilon {value} gives 0 at n = {spec.n}")
     else:
         raise ValueError(f"unknown h mode {mode!r}")
-    if h <= 0:
-        from .params import ParameterError
-
-        raise ParameterError("h", f"h must be positive, got {h}")
     return h
 
 

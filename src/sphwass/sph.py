@@ -17,16 +17,16 @@ all sources (:func:`_band`; always for K, which has no support).  A block's tail
 the sources past its targets, gives the transposed sums too, so only pairs within a
 block are evaluated twice; pairs beyond the support give exact zeros.  A walk runs
 relative to its first source, in units of h for W_h, so results are invariant
-under translation.  Squared distances are one matrix product per block, and each
-pair sum one more, whose n rows take the kernel constants and F(rho_k).  Blocks
+under translation.  Squared distances are one matrix product per block, side by side
+with the next blocks' in passes, so the clip and the radial function (the kernel's
+shapes, or K's force scale) take one call per pass; each pair sum is one more
+product per block, whose n rows take the kernel constants and F(rho_k).  Blocks
 come in a fixed order, so results are bitwise reproducible.  The pressure sum
 reuses the gradient shapes of rho's walk.  Each walk owns the buffers its
 evaluations write, and a run keeps its walks in one :class:`_Engine`, so its steps
 leave no block temporaries to the allocator.  An engine serves a batch of states
-(a study's rungs) advanced together: a pressure walk per state, and one packed
-interaction walk whose blocks stay within a state and lie side by side, so the
-clip, the sqrt and the force scale take one call for all of them.  The module
-holds no state.
+(a study's rungs) advanced together: a pressure walk per state, and one interaction
+walk whose blocks stay within a state.  The module holds no state.
 """
 
 from dataclasses import dataclass
@@ -45,11 +45,11 @@ __all__ = [
     "check_support",
 ]
 
-_BLOCK = 128  # most targets in one block: a walk's block buffers hold _BLOCK * n doubles
+_BLOCK = 128  # most targets in one block
 
 _SLOT_ENTRIES = 2**22  # most gradient shapes one evaluation keeps for its pressure sum: 32 MB
 
-_PASS_ENTRIES = 2**16  # most pairs of a packed walk's radial pass, unless one block holds more
+_PASS_ENTRIES = 2**16  # most pairs of a walk's pass, unless one block holds more
 
 
 @dataclass
@@ -114,25 +114,30 @@ def _density_at(y, state, kernel):
     walk = _Walk(state.masses, x.shape[1], kernel.h, _band(kernel, y.shape[0]),
                  n_targets=y.shape[0] if other else None)
     walk.place(x, y if other else None)
-    return _unsorted(_density_and_blocks(walk, kernel), walk.order_y)
+    rho = _density_and_blocks(walk, kernel)
+    if walk.order_y is not None:
+        rho[walk.order_y] = rho.copy()  # back in the particles' order
+    return rho
 
 
 def _density_and_blocks(walk, kernel, slot=None):
-    """rho at the placed walk's targets, in its order, keeping the blocks ``(rows,
-    cols, g)`` in ``slot``, if given, with g in the walk's kept storage."""
+    """rho at the placed walk's targets, in its order, with one ``shapes`` call per
+    pass, keeping the blocks ``(rows, cols, g)`` in ``slot``, if given."""
     rho, tail = walk.rho, (walk.tail if walk.same else None)
     if slot is not None and walk.kept.size < walk.entries:
         walk.kept = np.empty(walk.entries)
     used = 0
-    for rows, cols, u2, work in walk.blocks():
+    for u2, work, blocks in walk.passes():
         g = work[0]
         if slot is not None:
             g = walk.kept[used:used + u2.size].reshape(u2.shape)
             used += u2.size
         w, g = kernel.shapes(u2, (u2, g))
-        if slot is not None:
-            slot.append((rows, cols, g))
-        _sum_pairs(rho, w, walk.m, rows, cols, tail)
+        for rows, cols, at, shape in blocks:
+            w_b, g_b = (w, g) if at is None else (w[at].reshape(shape), g[at].reshape(shape))
+            if slot is not None:
+                slot.append((rows, cols, g_b))
+            _sum_pairs(rho, w_b, walk.m, rows, cols, tail)
     rho *= kernel.norm_const
     return rho
 
@@ -177,7 +182,7 @@ class _Engine:
                              for s, k in zip(states, kernels)]
         if fm.interaction is not None:
             masses = np.concatenate([s.masses for s in states])
-            self.interaction = _Walk(masses, d, width=d + 1, work=4, ends=ends, packed=True)
+            self.interaction = _Walk(masses, d, width=d + 1, work=4, ends=ends)
 
     def accelerations(self, state, rho, include_drag):
         """:func:`compute_accelerations` at the state, in the engine's array."""
@@ -208,8 +213,7 @@ def _pressure_accel(walk, x, rho, fm, kernel, acc):
     elif walk.order is not None:
         rho = rho[walk.order]
     F = f_theta(fm.eos, fm.theta, rho)
-    blocks = slot or ((r, c, kernel.shapes(u2, (u2, work[0]))[1])
-                      for r, c, u2, work in walk.blocks())
+    blocks = slot or _radial_blocks(walk, lambda u2, work: kernel.shapes(u2, (u2, work[0]))[1])
     sums = _pair_sums(blocks, walk, F if fm.theta else None)
     out = acc if walk.order is None else sums[:, 0]
     np.multiply(sums[:, 0], F[:, None], out=out)
@@ -221,21 +225,19 @@ def _pressure_accel(walk, x, rho, fm, kernel, acc):
 
 
 def _interaction_accel(walk, x, interaction):
-    """The interaction term at x, on the packed walk over all pairs relative to x_0."""
+    """The interaction term at x, on the walk over all pairs relative to x_0."""
     walk.place(x)
-    return _pair_sums(_radial_passes(walk, interaction), walk)[:, 0]
+    blocks = _radial_blocks(walk, lambda r, work: interaction.force_scale(np.sqrt(r, out=r), work))
+    return _pair_sums(blocks, walk)[:, 0]
 
 
-def _radial_passes(walk, interaction):
-    """``(rows, cols, c)`` of each block of the packed walk, c = force_scale(r): every
-    r2 product of a pass, then the pass's radial work, one call per ufunc."""
-    blocks = walk.blocks()
-    for count, r, work in walk.passes:
-        products = [next(blocks) for _ in range(count)]
-        np.sqrt(np.maximum(r, 0.0, out=r), out=r)  # clip the cancellation noise
-        interaction.force_scale(r, work)
-        for rows, cols, _, c in products:
-            yield rows, cols, c[0]
+def _radial_blocks(walk, radial):
+    """``(rows, cols, c)`` of each block of the placed walk, with c = ``radial(r2,
+    work)`` of its pass: one call per pass."""
+    for r2, work, blocks in walk.passes():
+        c = radial(r2, work)
+        for rows, cols, at, shape in blocks:
+            yield rows, cols, c if at is None else c[at].reshape(shape)
 
 
 def _pair_sums(blocks, walk, F=None):
@@ -275,8 +277,8 @@ class _Walk:
     """One pair walk's buffers, which every evaluation of a run reuses: sources and
     targets in walk coordinates, the factors [|y|^2, 1, -2 y] and [1, |x|^2, x]^T
     of the blocks' squared distances, with their constant rows set once, the
-    sums' sources [m, m x, ...] of ``width`` columns, and ``work`` block-sized
-    scratch arrays.
+    sums' sources [m, m x, ...] of ``width`` columns, and the buffers of the
+    passes: r2 and ``work`` scratch arrays.
 
     Sources at x, and targets at y, are placed relative to x_0 in units of
     ``unit``.  With a ``cutoff`` both are sorted stably along x_0 at each
@@ -285,11 +287,14 @@ class _Walk:
     met from each block's first target on (see :func:`_sum_pairs`), unless the
     walk is built for ``n_targets`` other points.  Unsorted sources against
     themselves may come in independent sets, rows up to each of ``ends``, each
-    relative to its first source and met by its own blocks only.  A ``packed``
-    walk lays its blocks side by side, in passes of up to ``_PASS_ENTRIES``."""
+    relative to its first source and met by its own blocks only.
+
+    The blocks come in passes: runs of consecutive blocks whose r2 lie side by
+    side in the buffers, up to ``_PASS_ENTRIES`` pairs or one block if larger,
+    so that a pass's radial function takes one call."""
 
     def __init__(self, masses, dim, unit=1.0, cutoff=None, width=0, work=1, n_targets=None,
-                 ends=None, packed=False):
+                 ends=None):
         n = masses.shape[0]
         self.same = n_targets is None
         nt = n if self.same else n_targets
@@ -315,12 +320,10 @@ class _Walk:
                                       for first, end in zip(firsts, ends)])  # come after its own
         tops = np.asarray(ends)[np.searchsorted(ends, self.starts, "right")]  # each block's set
         self.lasts = np.minimum(self.starts + _BLOCK, tops) - 1
-        self.packed, block = packed, min(nt, _BLOCK) * n
-        if packed:
-            sizes = (self.lasts + 1 - self.starts) * (tops - self.starts)
-            block = max(min(int(sizes.sum()), _PASS_ENTRIES), int(sizes.max(initial=0)))
-        buf = np.empty((1 + work) * block)
-        self.r2, self.work = buf[:block], buf[block:].reshape(work, block)
+        sizes = (self.lasts + 1 - self.starts) * (tops - self.starts if self.same else n)
+        size = max(min(int(sizes.sum()), _PASS_ENTRIES), int(sizes.max(initial=0)))
+        buf = np.empty((1 + work) * size)
+        self.r2, self.work = buf[:size], buf[size:].reshape(work, size)
         self.kept = np.empty(0)  # the g of a pressure sum, grown to the blocks' size
         self.src = np.empty((n, width))
         self.out = np.empty((nt, width))
@@ -368,35 +371,40 @@ class _Walk:
             self._set_bounds(los, his)
 
     def _set_bounds(self, los, his):
-        """Each block's slices, factors and buffers, from its first and last source: at
-        the front of the buffers, or if packed after the last block of its pass.  A
-        packed walk's ``passes`` are (blocks, r2, scratch), over each pass's entries."""
-        n, self.bounds, self.entries, passes, used = self.b.shape[1], [], 0, [], self.r2.size
+        """Each block's slices and factors, from its first and last source, and its
+        place ``at`` in its pass, after the previous block: the walk's ``layout`` of
+        (products, r2, scratch, blocks) per pass, and its ``entries``.  A pass of one
+        block holds that block's own views, and its ``at`` is None."""
+        n, layout = self.b.shape[1], []
         for s, e, lo, hi in zip(self.starts.tolist(), self.lasts.tolist(),
                                 np.asarray(los).tolist(), np.asarray(his).tolist()):
             k, c = e + 1 - s, hi - lo
-            if not self.packed or used + k * c > self.r2.size:
-                used = 0
-                passes.append([0, 0])
-            passes[-1] = [passes[-1][0] + 1, used + k * c]
-            rows, cols, at = slice(s, e + 1), slice(lo, hi), slice(used, used + k * c)
-            self.bounds.append((rows, cols, self.a[rows], self.b if c == n else self.b[:, cols],
-                                self.r2[at].reshape(k, c),
-                                tuple(self.work[:, at].reshape(len(self.work), k, c))))
-            self.entries += k * c
-            used += k * c
-        if self.packed:
-            self.passes = [(count, self.r2[:end], tuple(self.work[:, :end]))
-                           for count, end in passes]
+            if not layout or layout[-1][0] + k * c > _PASS_ENTRIES:
+                layout.append((0, [], []))
+            end, products, blocks = layout[-1]
+            rows, cols, at = slice(s, e + 1), slice(lo, hi), slice(end, end + k * c)
+            products.append((self.a[rows], self.b if c == n else self.b[:, cols],
+                             self.r2[at].reshape(k, c)))
+            blocks.append((rows, cols, at, (k, c)))
+            layout[-1] = (at.stop, products, blocks)
+        self.entries, self.layout = sum(end for end, _, _ in layout), []
+        for end, products, blocks in layout:
+            r2, work = self.r2[:end], self.work[:, :end]
+            if len(blocks) == 1:
+                r2, work = products[0][2], work.reshape(len(work), *blocks[0][3])
+                blocks = [blocks[0][:2] + (None, blocks[0][3])]
+            self.layout.append((products, r2, tuple(work), blocks))
 
-    def blocks(self):
-        """Yield ``(rows, cols, r2, work)``, last block first: slices of the placed
-        targets and sources, r2 = [|y|^2, 1, -2 y] @ [1, |x|^2, x]^T in the walk's
-        block buffer, which rounds with eps times the squared extent, clipped at 0
-        unless packed (:func:`_radial_passes` clips), and the block's scratch."""
-        for rows, cols, a, b, r2, work in self.bounds:
-            r2 = _sq_dists(a, b, r2)
-            yield rows, cols, r2 if self.packed else np.maximum(r2, 0.0, out=r2), work
+    def passes(self):
+        """Yield ``(r2, work, blocks)`` per pass, last block first: the pass's r2 =
+        [|y|^2, 1, -2 y] @ [1, |x|^2, x]^T of each block, side by side in the walk's
+        buffer, which rounds with eps times the squared extent, clipped at 0; the
+        pass's scratch; and ``(rows, cols, at, shape)`` of each block, slices of the
+        placed targets and sources and its place in the pass (None: the whole pass)."""
+        for products, r2, work, blocks in self.layout:
+            for a, b, out in products:
+                _sq_dists(a, b, out)
+            yield np.maximum(r2, 0.0, out=r2), work, blocks
 
 
 def _sum_pairs(out, w, c, rows, cols, tail=None):
@@ -408,15 +416,6 @@ def _sum_pairs(out, w, c, rows, cols, tail=None):
         t = np.matmul(w[:, rows.stop - rows.start:].T, c[rows],
                       out=tail[:shape[0] * c[0].size].reshape(shape))
         out[rows.stop:cols.stop] += t
-
-
-def _unsorted(a, order):
-    """``a``, sorted by ``order`` (None: unsorted), back in the particles' order."""
-    if order is None:
-        return a
-    out = np.empty_like(a)
-    out[order] = a
-    return out
 
 
 def _sq_dists(a, b, out):

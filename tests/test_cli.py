@@ -74,6 +74,28 @@ class TestRunCommand:
         assert "resolutions" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("option, out", [(False, "file/out"), (True, "file/out"), (True, "")],
+                             ids=["config-under-a-file", "option-under-a-file", "option-empty"])
+    def test_output_dir_that_cannot_be_created_exits_2_before_the_study(
+            self, tmp_path, capsys, monkeypatch, option, out):
+        # found before the banner and the first rung, not after the last one; an
+        # empty --output-dir also skips the config's own nonempty check
+        import sphwass.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(sphwass.cli, "run_convergence_study", refuse)
+        (tmp_path / "file").write_text("")
+        cfg_path = tmp_path / "cfg.json"
+        out_dir = str(tmp_path / out) if out else out
+        write_config(cfg_path, **({} if option else {"output_dir": out_dir}))
+        argv = ["run", str(cfg_path)] + (["--output-dir", out_dir] if option else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "'output_dir'" in captured.err and captured.out == ""
+        assert (tmp_path / "file").read_text() == ""
+
     @pytest.mark.parametrize("gamma, noted", [(1.0, True), (2.0, False)])
     def test_note_when_the_runs_have_no_support_bound(self, tmp_path, capsys, gamma, noted):
         cfg_path = tmp_path / "cfg.json"

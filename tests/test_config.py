@@ -70,6 +70,21 @@ def test_scaled_h_checked_at_every_rung_exits_2_naming_epsilon(tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("epsilon, message", [
+    ("-1.0", "h must come from a positive epsilon, got -1.0"),
+    ("5e-324", "h must be positive; epsilon 5e-324 gives 0 at n = 4"),
+])
+def test_scaled_h_error_quotes_epsilon_as_written(epsilon, message, tmp_path, capsys):
+    # a nonpositive epsilon is named by itself, not by the h it gives; one
+    # that rounds h to 0 is named with the particle count of the rung
+    path = tmp_path / "cfg.json"
+    path.write_text('{"family": "rotating_square_2d", "resolutions": [1, 2, 3], '
+                    '"h_mode": {"mode": "scaled", "epsilon": %s}}' % epsilon)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'h_mode.epsilon'" in err and message in err
+
+
 def test_rung_beyond_2_to_the_62_particles_rejected():
     # the plan builds each rung's kernel, at a count that must stay an int64
     with pytest.raises(ConfigError) as err:

@@ -227,8 +227,9 @@ def pair_blocks(y, x, cutoff=None):
     walk = sph._Walk(np.ones(len(x)), x.shape[1], cutoff=cutoff,
                      n_targets=len(y) if other else None)
     walk.place(x, y if other else None)
-    for rows, cols, r2, _ in walk.blocks():
-        yield rows, cols, r2
+    for r2, _, blocks in walk.passes():
+        for rows, cols, at, shape in blocks:
+            yield rows, cols, r2 if at is None else r2[at].reshape(shape)
 
 
 def summed_pairs(y, x, cutoff):
@@ -367,13 +368,13 @@ class TestBlockSlot:
     @staticmethod
     def count_block_passes(monkeypatch):
         calls = []
-        engine = sph._Walk.blocks
+        engine = sph._Walk.passes
 
-        def counted(walk):  # counts the passes that start
+        def counted(walk):  # counts the walks that start
             calls.append(walk.cutoff)
             yield from engine(walk)
 
-        monkeypatch.setattr(sph._Walk, "blocks", counted)
+        monkeypatch.setattr(sph._Walk, "passes", counted)
         return calls
 
     @staticmethod
@@ -405,32 +406,32 @@ class TestBlockSlot:
         self.assert_is_the_reference(acc, state, fm, kernel)
 
     def test_slot_hit_does_no_kernel_work(self, setup, monkeypatch):
-        # one shape evaluation per block walked: the pressure sum takes g
+        # one shape evaluation per pass walked: the pressure sum takes g
         # from the walk's slot, and a supplied rho walks afresh for g
         state, kernel, fm = setup
-        calls, blocks = [], []
-        shapes, engine = WendlandCubic2D.shapes, sph._Walk.blocks
+        calls, passes = [], []
+        shapes, engine = WendlandCubic2D.shapes, sph._Walk.passes
 
         def counted_shapes(self, u2, out=None):
             calls.append(u2.shape)
             return shapes(self, u2, out)
 
-        def counted_blocks(walk):
-            for block in engine(walk):
-                blocks.append(block[2].shape)
-                yield block
+        def counted_passes(walk):
+            for walked in engine(walk):
+                passes.append(walked[0].shape)
+                yield walked
 
         monkeypatch.setattr(WendlandCubic2D, "shapes", counted_shapes)
-        monkeypatch.setattr(sph._Walk, "blocks", counted_blocks)
+        monkeypatch.setattr(sph._Walk, "passes", counted_passes)
         acc = compute_accelerations(state, None, fm, kernel)
-        walked = list(blocks)
+        walked = list(passes)
         assert calls == walked and walked
-        calls.clear(), blocks.clear()
+        calls.clear(), passes.clear()
         rho = compute_density(state, kernel)
-        assert calls == blocks == walked  # the density walk alone
-        calls.clear(), blocks.clear()
+        assert calls == passes == walked  # the density walk alone
+        calls.clear(), passes.clear()
         assert compute_accelerations(state, rho, fm, kernel).tobytes() == acc.tobytes()
-        assert calls == blocks == walked
+        assert calls == passes == walked
 
     def test_morse_sum_walks_all_pairs_beside_the_kept_band(self, setup, monkeypatch):
         # rho walks the band and the pressure sum reads its g, while the Morse
@@ -492,6 +493,76 @@ class TestBlockSlot:
         fm = ForceModel(theta=1, eos=None, eta=1.0, interaction=MorseInteraction())
         run(state, fm, WendlandCubic2D(0.05), IntegratorConfig(dt=1e-3, t_end=3e-3))
         assert calls == [None] * 4
+
+
+def walked_passes(evaluate, one_block_per_pass=False):
+    """A copy of ``evaluate()`` and the count of blocks with pairs in each pass it
+    walked, with ``_PASS_ENTRIES`` at 1, before any walk is built, if
+    ``one_block_per_pass``."""
+    counts, passes = [], sph._Walk.passes
+
+    def counted(walk):
+        for walked in passes(walk):
+            counts.append(sum(rows.stop > rows.start and cols.stop > cols.start
+                              for rows, cols, _, _ in walked[2]))
+            yield walked
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(sph._Walk, "passes", counted)
+        if one_block_per_pass:
+            monkeypatch.setattr(sph, "_PASS_ENTRIES", 1)
+        return np.array(evaluate()), counts
+
+
+class TestPasses:
+    """Grouping a walk's blocks into passes moves no bit: one block per pass, as
+    ``_PASS_ENTRIES = 1`` makes them, gives each result the default's bytes."""
+
+    @staticmethod
+    def assert_same_bits(evaluate):
+        grouped, counts = walked_passes(evaluate)
+        single, singles = walked_passes(evaluate, one_block_per_pass=True)
+        assert max(counts) > 1 and max(singles) == 1  # the layouts differ
+        assert sum(counts) == sum(singles)
+        assert grouped.tobytes() == single.tobytes()
+
+    @pytest.fixture(params=[1.0, 0.05], ids=["dense", "cells"])
+    def cloud(self, request):
+        return random_cloud(300, request.param, 1.0, 3)
+
+    def test_density(self, cloud):
+        state, kernel = cloud
+        self.assert_same_bits(lambda: compute_density(state, kernel))
+
+    def test_density_profile_at_other_targets(self):
+        from sphwass.experiments import density_profile
+
+        state, kernel = random_cloud(300, 0.05, 1.0, 3)
+        axes = np.meshgrid(*[np.linspace(-0.5, 1.5, 40)] * 2, indexing="ij")
+        grid = np.stack([a.ravel() for a in axes], axis=1)
+        self.assert_same_bits(lambda: density_profile(state, kernel, grid))
+
+    @pytest.mark.parametrize("kept", [True, False], ids=["kept-g", "fresh-g"])
+    @pytest.mark.parametrize("theta", [0, 1])
+    def test_accelerations(self, cloud, theta, kept, monkeypatch):
+        state, kernel = cloud
+        if not kept:  # no evaluation's g fits: rho's walk keeps none
+            monkeypatch.setattr(sph, "_SLOT_ENTRIES", 0)
+        fm = hydro_model(7.0, theta)
+        self.assert_same_bits(lambda: compute_accelerations(state, None, fm, kernel))
+
+    def test_morse_batch(self, rng):
+        states = [ParticleState(normalized(rng.random(n) + 0.1), rng.random((n, 2)),
+                                rng.standard_normal((n, 2))) for n in (4, 64, 300)]
+        batch = ParticleState(*(np.concatenate([getattr(s, key) for s in states])
+                                for key in ("masses", "positions", "velocities")))
+        fm = ForceModel(theta=1, eos=None, eta=1.0, interaction=MorseInteraction())
+
+        def evaluate():
+            engine = sph._Engine(states, fm, [WendlandCubic2D(1.0)] * 3)
+            return engine.accelerations(batch, None, include_drag=True)
+
+        self.assert_same_bits(evaluate)
 
 
 def direct_sq_dists(y, x, *_):
